@@ -1,6 +1,6 @@
 # Convenience targets; everything below is plain dune + the CLI.
 
-.PHONY: all build test bench bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke check fmt smoke clean
+.PHONY: all build test loc bench bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke check fmt smoke clean
 
 all: build
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	dune runtest
+
+# Non-test line count of the library, the CLI and the bench harness —
+# tracked like any other metric (smaller is better at equal behavior).
+loc:
+	@git ls-files 'lib/*.ml' 'lib/*.mli' 'bin/*.ml' 'bench/*.ml' | xargs cat | wc -l
 
 bench:
 	dune exec bench/main.exe
@@ -24,9 +29,9 @@ bench:
 # parallel print an explicit SKIP instead — see bench/main.ml.
 bench-smoke: build
 	@rm -rf _build/bench-runs
-	CLUSTEER_BENCH_STUDY=throughput CLUSTEER_BENCH_UOPS=2000 \
+	CLUSTEER_BENCH_UOPS=2000 \
 	  CLUSTEER_BENCH_REQUIRE_SPEEDUP=1 CLUSTEER_BENCH_LEDGER=_build/bench-runs \
-	  CLUSTEER_BENCH_JSON=_build/bench.json dune exec bench/main.exe
+	  CLUSTEER_BENCH_JSON=_build/bench.json dune exec bench/main.exe -- throughput
 	@grep -q '"suite_throughput"' _build/bench.json
 	@grep -q '"steering_alloc_words_per_decide":{"op":0.0,"op-parallel":0.0,"dep":0.0,"vc2":0.0}' \
 	  _build/bench.json
@@ -133,8 +138,8 @@ topo-smoke: build
 	! grep -q '"steer.remap.hops"' $$d/p2p.json; \
 	$$csteer topo show hier2x4 --json > $$d/hier.json; \
 	grep -q '"uplink_latency":4' $$d/hier.json; \
-	CLUSTEER_BENCH_STUDY=topo CLUSTEER_BENCH_UOPS=2000 \
-	  CLUSTEER_BENCH_JSON=$$d/bench.json dune exec bench/main.exe \
+	CLUSTEER_BENCH_UOPS=2000 \
+	  CLUSTEER_BENCH_JSON=$$d/bench.json dune exec bench/main.exe -- topo \
 	  > $$d/bench.txt; \
 	grep -q '"topology_study"' $$d/bench.json; \
 	grep -q '"topology":"hier2x4"' $$d/bench.json; \
@@ -172,8 +177,8 @@ analyze-smoke: build
 	$$csteer analyze -w mcf -p vc2 --vs-run -n 4000 --ledger $$d/runs \
 	  > /dev/null 2> $$d/ledger.log; \
 	grep -q '"kind":"analyze"' $$d/runs/index.jsonl; \
-	CLUSTEER_BENCH_STUDY=predict CLUSTEER_BENCH_UOPS=3000 \
-	  CLUSTEER_BENCH_JSON=$$d/predict.json dune exec bench/main.exe \
+	CLUSTEER_BENCH_UOPS=3000 \
+	  CLUSTEER_BENCH_JSON=$$d/predict.json dune exec bench/main.exe -- predict \
 	  > $$d/predict.txt; \
 	grep -q '"prediction_study"' $$d/predict.json; \
 	! grep -q '"drift_errors":[1-9]' $$d/predict.json; \

@@ -3,13 +3,14 @@
    times the core algorithms with Bechamel (one Test.make per table /
    figure driver).
 
+   Usage: main.exe [STUDY ...] — with no argument, run the default
+   sequence of the [studies] table below; otherwise run the named
+   studies in the order given (e.g. `dune exec bench/main.exe --
+   predict`). "tune" and "topo" run only when named.
+
    Environment knobs:
      CLUSTEER_BENCH_UOPS   micro-ops per simulation point (default 20000)
      CLUSTEER_BENCH_FAST   set to 1 to sweep a 10-benchmark subset
-     CLUSTEER_BENCH_STUDY  "throughput" runs just the throughput study;
-                           "tune" runs one tiny auto-tuner cycle;
-                           "topo" runs the interconnect-topology study
-                           "predict" runs the cost-model accuracy study
      CLUSTEER_BENCH_REQUIRE_SPEEDUP
                            set to 1 to enforce the suite-speedup floor
                            (>=1.5x at 2 domains, >=3x at 4); checks the
@@ -111,33 +112,22 @@ let run_vc_threshold_ablation () =
   Printf.printf "%-10s %12s %14s %16s\n" "threshold" "avg cycles" "avg copies"
     "avg alloc stalls";
   List.iter
-    (fun threshold ->
+    (fun remap_threshold ->
+      let params =
+        { Clusteer.Configuration.default_params with remap_threshold }
+      in
       let totals = ref (0, 0, 0) in
       List.iter
         (fun profile ->
           let point = List.hd (Pinpoints.points profile) in
-          let workload = Synth.build point.Pinpoints.profile in
-          let annot =
-            Clusteer.Hybrid.compile ~program:workload.Synth.program
-              ~likely:workload.Synth.likely ~virtual_clusters:2 ()
-          in
-          let policy =
-            Clusteer_steer.Vc_map.make ~remap_threshold:threshold ~annot
-              ~clusters:2 ()
-          in
-          let prewarm =
-            Array.to_list
-              (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
-          in
-          let engine =
-            Clusteer_uarch.Engine.create ~config:Config.default_2c ~annot
-              ~policy ~prewarm ()
-          in
-          let gen = Synth.trace workload ~seed:1 in
           let stats =
-            Clusteer_uarch.Engine.run ~warmup:5000 engine
-              ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-              ~uops:bench_uops
+            snd
+              (List.hd
+                 (Runner.run_point ~params ~machine:Config.default_2c
+                    ~configs:
+                      [ Clusteer.Configuration.Vc { virtual_clusters = 2 } ]
+                    ~uops:bench_uops point)
+                   .Runner.runs)
           in
           let c, k, s = !totals in
           totals :=
@@ -147,7 +137,8 @@ let run_vc_threshold_ablation () =
         (ablation_profiles ());
       let n = List.length (ablation_profiles ()) in
       let c, k, s = !totals in
-      Printf.printf "%-10d %12d %14d %16d\n" threshold (c / n) (k / n) (s / n))
+      Printf.printf "%-10d %12d %14d %16d\n" remap_threshold (c / n) (k / n)
+        (s / n))
     [ 0; 4; 8; 16; 32 ]
 
 (* Design-choice ablation 2: sequential vs parallel (rename-style)
@@ -211,28 +202,17 @@ let run_region_scope_ablation () =
 " "scheme" "32-uop regions"
     "128-uop regions" "512-uop regions";
   let avg_cycles config region_uops =
+    let params = { Clusteer.Configuration.default_params with region_uops } in
     let total = ref 0 in
     List.iter
       (fun profile ->
         let point = List.hd (Pinpoints.points profile) in
-        let workload = Synth.build point.Pinpoints.profile in
-        let annot, policy =
-          Clusteer.Configuration.prepare config ~program:workload.Synth.program
-            ~likely:workload.Synth.likely ~clusters:2 ~region_uops ()
-        in
-        let prewarm =
-          Array.to_list
-            (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
-        in
-        let engine =
-          Clusteer_uarch.Engine.create ~config:Config.default_2c ~annot
-            ~policy ~prewarm ()
-        in
-        let gen = Synth.trace workload ~seed:1 in
         let stats =
-          Clusteer_uarch.Engine.run ~warmup:5000 engine
-            ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-            ~uops:bench_uops
+          snd
+            (List.hd
+               (Runner.run_point ~params ~machine:Config.default_2c
+                  ~configs:[ config ] ~uops:bench_uops point)
+                 .Runner.runs)
         in
         total := !total + stats.Stats.cycles)
       (ablation_profiles ());
@@ -801,26 +781,12 @@ let run_throughput_study () =
   (* 3. Engine-level allocation per committed micro-op (includes the
      trace generator — the whole per-uop simulation path). *)
   let engine_words =
-    let annot, policy =
-      Clusteer.Configuration.prepare Clusteer.Configuration.Op
-        ~program:workload.Synth.program ~likely:workload.Synth.likely
-        ~clusters:2 ()
-    in
-    let prewarm =
-      Array.to_list
-        (Array.map Clusteer_trace.Mem_model.extent workload.Synth.streams)
-    in
-    let engine =
-      Clusteer_uarch.Engine.create ~config:Config.default_2c ~annot ~policy
-        ~prewarm ()
-    in
-    let gen = Synth.trace workload ~seed:1 in
-    let n = min uops 20_000 in
     let before = Gc.minor_words () in
     let stats =
-      Clusteer_uarch.Engine.run ~warmup:0 engine
-        ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-        ~uops:n
+      List.assoc "op"
+        (Runner.run_workload ~seed:1 ~warmup:0 ~machine:Config.default_2c
+           ~configs:[ Clusteer.Configuration.Op ] ~uops:(min uops 20_000)
+           workload)
     in
     (Gc.minor_words () -. before) /. float_of_int stats.Stats.committed
   in
@@ -877,7 +843,7 @@ let run_throughput_study () =
 
 (* ---- auto-tuner study ---------------------------------------------------- *)
 
-(* CLUSTEER_BENCH_STUDY=tune: one tiny champion/challenger cycle of
+(* "tune": one tiny champion/challenger cycle of
    the auto-tuner (deterministic 4-evaluation grid over the "vc" space
    on two workloads — the same shape `make tune-smoke` drives through
    the CLI), timed end to end. Reports evaluations/sec and the study
@@ -927,7 +893,7 @@ let run_tune_study () =
 
 (* ---- interconnect-topology study ----------------------------------------- *)
 
-(* CLUSTEER_BENCH_STUDY=topo: price the interconnect fabrics the
+(* "topo": price the interconnect fabrics the
    topology subsystem models (lib/topo) on an 8-cluster machine. The
    adversarial workloads are built to stress inter-cluster copies, so
    the mesh and hierarchical fabrics must visibly move the copy-stall
@@ -1008,22 +974,21 @@ let run_topo_study () =
 
 (* ---- prediction-accuracy study -------------------------------------------- *)
 
-(* CLUSTEER_BENCH_STUDY=predict: how tight is the static communication
-   cost model (lib/analysis) against simulated truth? Per workload and
-   policy: the predicted copy rate (must-cross), the sound may-cross
-   bound and the engine's measured copies/uop, plus the same drift
-   check `csteer analyze --vs-run` runs. A drift error here means the
-   static bound is unsound against the real engine — that is a build
-   failure, not a data point. *)
+(* "predict": how tight is the static communication cost model
+   (lib/analysis) against simulated truth? Per workload and policy: the
+   predicted copy rate (must-cross), the sound may-cross bound and the
+   engine's measured copies/uop, plus the same drift check over the
+   same replay `csteer analyze --vs-run -n` runs — the stream
+   `csteer simulate -n` executes, from reset. A drift error here means
+   the static bound is unsound against the real engine — that is a
+   build failure, not a data point. *)
 let run_prediction_study () =
   heading "Prediction study: static cost model vs simulated copies (2 clusters)";
   let bench_uops = min uops 10_000 in
   let machine = Config.default ~clusters:2 in
   let workloads =
-    List.map
-      (fun n -> (n, Synth.build (Spec2000.find n)))
-      [ "gzip-1"; "mcf"; "swim" ]
-    @ Clusteer_workloads.Adversarial.all
+    [ "gzip-1"; "mcf"; "swim" ]
+    @ List.map fst Clusteer_workloads.Adversarial.all
   in
   let configs =
     [
@@ -1037,28 +1002,27 @@ let run_prediction_study () =
   let violations = ref 0 in
   let entries =
     List.concat_map
-      (fun (wname, w) ->
+      (fun wname ->
+        let w, seed =
+          match Runner.resolve ~phase:0 wname with
+          | Ok resolved -> resolved
+          | Error _ -> invalid_arg wname
+        in
         let program = w.Synth.program and likely = w.Synth.likely in
         List.map
           (fun config ->
             let registry = Obs.Counters.create () in
-            let annot, policy =
+            let annot, _ =
               Clusteer.Configuration.prepare config ~program ~likely
-                ~clusters:2 ~registry ()
+                ~clusters:2 ()
             in
-            let prewarm =
-              Array.to_list
-                (Array.map Clusteer_trace.Mem_model.extent w.Synth.streams)
-            in
-            let engine =
-              Clusteer_uarch.Engine.create ~config:machine ~annot ~policy
-                ~prewarm ()
-            in
-            let gen = Synth.trace w ~seed:1 in
             let stats =
-              Clusteer_uarch.Engine.run ~warmup:0 engine
-                ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-                ~uops:bench_uops
+              List.assoc
+                (Clusteer.Configuration.name config)
+                (Runner.run_workload ~warmup:0 ~seed ~registry ~machine
+                   ~configs:[ config ]
+                   ~uops:(Runner.default_warmup bench_uops + bench_uops)
+                   w)
             in
             let model, _ =
               Clusteer_analysis.Cost_model.analyze ~program ~annot
@@ -1286,40 +1250,51 @@ let run_microbenchmarks () =
       | Some [] | None -> Printf.printf "%-40s (no estimate)\n" name)
     (List.sort compare rows)
 
+(* The study table: every study by name, in the default sequence.
+   [on_demand] studies run only when named on the command line. *)
+let studies =
+  [
+    ("tables", run_tables);
+    ("figures", run_figures);
+    ("vc-threshold", run_vc_threshold_ablation);
+    ("seq-par", run_seq_par_ablation);
+    ("vc-count", run_vc_count_ablation);
+    ("region-scope", run_region_scope_ablation);
+    ("steer-depth", run_steer_depth_study);
+    ("baselines", run_extended_baselines);
+    ("interconnect", run_topology_study);
+    ("vliw", run_vliw_study);
+    ("energy", run_energy_study);
+    ("link-latency", run_link_latency_study);
+    ("scaling", run_scaling_study);
+    ("prefetch", run_prefetch_study);
+    ("kernels", run_kernel_table);
+    ("predict", run_prediction_study);
+    ("obs-overhead", run_observability_overhead_study);
+    ("throughput", run_throughput_study);
+    ("micro", run_microbenchmarks);
+    ("tune", run_tune_study);
+    ("topo", run_topo_study);
+  ]
+
+let on_demand = [ "tune"; "topo" ]
+
 let () =
   Printf.printf
     "clusteer bench harness: reproduction of Cai et al., IPPS 2008\n";
-  (* CLUSTEER_BENCH_STUDY=throughput runs just the throughput/allocation
-     study (the `make bench-smoke` entry point). *)
-  match Sys.getenv_opt "CLUSTEER_BENCH_STUDY" with
-  | Some "throughput" -> run_throughput_study ()
-  | Some "tune" -> run_tune_study ()
-  | Some "topo" -> run_topo_study ()
-  | Some "predict" -> run_prediction_study ()
-  | Some other ->
-      Printf.eprintf
-        "unknown CLUSTEER_BENCH_STUDY %S (try: throughput, tune, topo, \
-         predict)\n"
-        other;
-      exit 2
-  | None ->
-  run_tables ();
-  run_figures ();
-  run_vc_threshold_ablation ();
-  run_seq_par_ablation ();
-  run_vc_count_ablation ();
-  run_region_scope_ablation ();
-  run_steer_depth_study ();
-  run_extended_baselines ();
-  run_topology_study ();
-  run_vliw_study ();
-  run_energy_study ();
-  run_link_latency_study ();
-  run_scaling_study ();
-  run_prefetch_study ();
-  run_kernel_table ();
-  run_prediction_study ();
-  run_observability_overhead_study ();
-  run_throughput_study ();
-  run_microbenchmarks ();
-  print_newline ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [] ->
+      List.iter
+        (fun (name, run) -> if not (List.mem name on_demand) then run ())
+        studies;
+      print_newline ()
+  | names ->
+      List.iter
+        (fun name ->
+          if not (List.mem_assoc name studies) then begin
+            Printf.eprintf "unknown study %S (expected one of: %s)\n" name
+              (String.concat ", " (List.map fst studies));
+            exit 2
+          end)
+        names;
+      List.iter (fun name -> (List.assoc name studies) ()) names

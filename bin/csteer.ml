@@ -43,9 +43,97 @@ let protect f =
 
 (* ---- shared arguments -------------------------------------------- *)
 
-let workload_arg =
-  let doc = "Workload name (e.g. 181.mcf or just mcf)." in
-  Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~doc)
+(* One flag vocabulary: every option more than one subcommand takes is
+   defined once here, so a flag means the same thing (same name, same
+   default) wherever it appears. *)
+
+let workload_info =
+  Arg.info [ "w"; "workload" ] ~docv:"NAME"
+    ~doc:"Workload name (e.g. 181.mcf or just mcf)."
+
+let workload_arg = Arg.(required & opt (some string) None & workload_info)
+let workload_opt_arg = Arg.(value & opt (some string) None & workload_info)
+
+let workloads_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "w"; "workloads" ] ~docv:"NAMES"
+        ~doc:"Comma-separated workload names (e.g. mcf,gzip-1).")
+
+let all_arg =
+  Arg.(
+    value & flag
+    & info [ "all" ]
+        ~doc:
+          "Cover every built-in workload: each SPEC profile plus the \
+           adversarial scenarios.")
+
+let policies_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "p"; "policies" ] ~docv:"NAMES"
+        ~doc:
+          "Comma-separated steering configurations (default: ob,rhop,vc2, \
+           plus vcN on an N-cluster machine).")
+
+let phase_arg =
+  Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
+
+let json_arg =
+  Arg.(
+    value & flag
+    & info [ "json" ] ~doc:"Print one machine-readable JSON document on stdout.")
+
+let ledger_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "ledger" ] ~docv:"DIR"
+        ~doc:
+          "Record the run in the run ledger at $(docv); inspect with \
+           $(b,csteer runs). On $(b,simulate), $(b,experiment) and \
+           $(b,serve) this also attaches the pipeline self-profiler.")
+
+let domains_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "domains" ] ~docv:"N"
+        ~doc:
+          "Worker domains (default: the host's recommended domain count, \
+           capped at 8). Results are identical for any value; 1 forces a \
+           sequential run.")
+
+let profile_arg =
+  Arg.(
+    value & flag
+    & info [ "profile" ]
+        ~doc:
+          "Attach the pipeline self-profiler: per-phase wall-time \
+           histograms ($(b,profile.*.ns)) in the counter registry.")
+
+let strict_arg =
+  Arg.(
+    value & flag
+    & info [ "strict" ] ~doc:"Treat warnings as failures (info never fails).")
+
+let annot_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "annot" ] ~docv:"FILE"
+        ~doc:
+          "Use this annotation file (from $(b,csteer compile --emit)) \
+           instead of the freshly compiled one. Requires a single workload \
+           and policy, and no replay.")
+
+let region_uops_arg =
+  Arg.(
+    value & opt int 512
+    & info [ "region-uops" ] ~docv:"N"
+        ~doc:"Region size used by the compiler passes and the checks.")
 
 let clusters_arg =
   let doc = "Number of physical clusters." in
@@ -82,6 +170,24 @@ let machine_of ~clusters topology =
    single-phase Builder programs. *)
 let synth_workloads () =
   Clusteer_workloads.Kernels.all @ Clusteer_workloads.Adversarial.all
+
+(* Name (+ phase) -> (workload, trace seed) through the harness's one
+   resolver; each command keeps its own exit code and unknown-name
+   hint ("" prints none). *)
+let synth_names () = String.concat ", " (List.map fst (synth_workloads ()))
+let try_list = "try `csteer list`"
+
+let resolve_or_exit ~code ~hint ~phase name =
+  match Runner.resolve ~phase name with
+  | Ok resolved -> resolved
+  | Error Runner.Unknown_workload ->
+      if hint = "" then Printf.eprintf "unknown workload %S\n" name
+      else Printf.eprintf "unknown workload %S (%s)\n" name hint;
+      exit code
+  | Error (Runner.Phase_out_of_range phases) ->
+      Printf.eprintf "workload has only %d phase%s\n" phases
+        (if phases = 1 then "" else "s");
+      exit code
 
 let uops_arg default =
   let doc = "Committed micro-ops to simulate per point." in
@@ -156,174 +262,138 @@ let energy_json (e : Clusteer_uarch.Energy.breakdown) =
 let simulate workload clusters topology config uops phase trace_out
     trace_format stats_interval json_out ledger_dir profile_flag =
   protect @@ fun () ->
-  let source =
-    match List.assoc_opt workload (synth_workloads ()) with
-    | Some w -> `Synth w
-    | None -> (
-        match Spec2000.find workload with
-        | p -> `Spec p
-        | exception Not_found ->
-            Printf.eprintf
-              "unknown workload %S (try `csteer list`; kernels/adversarial: \
-               %s)\n"
-              workload
-              (String.concat ", " (List.map fst (synth_workloads ())));
-            exit 1)
+  let w, seed =
+    resolve_or_exit ~code:1 ~phase workload
+      ~hint:(try_list ^ "; kernels/adversarial: " ^ synth_names ())
   in
-      let profile =
-        match source with
-        | `Spec p -> p
-        | `Synth w -> w.Synth.profile
+  let profile = w.Synth.profile in
+  if stats_interval < 0 then begin
+    Printf.eprintf "--stats-interval must be non-negative\n";
+    exit 1
+  end;
+  let machine = machine_of ~clusters topology in
+  let clusters = machine.Config.clusters in
+  (* Collect events/intervals only when some output wants them:
+     an unobserved run keeps the zero-overhead engine path. *)
+  let interval =
+    if stats_interval > 0 then stats_interval
+    else if trace_out <> None && trace_format = Trace_csv then 1000
+    else 0
+  in
+  let collector =
+    if trace_out <> None || interval > 0 then
+      Some (Obs.Collector.create ~interval ())
+    else None
+  in
+  Obs.Counters.reset Obs.Counters.default;
+  (* A ledger entry wants phase timings in its snapshot, so asking
+     for a ledger turns the profiler on. *)
+  let profiled = profile_flag || ledger_dir <> None in
+  let prof = if profiled then Some (Obs.Profile.create ()) else None in
+  let started = Unix.gettimeofday () in
+  let obs _ = Option.map Obs.Collector.sink collector in
+  let runs, wall_s, gc =
+    Runner.measured (fun () ->
+        Runner.run_workload ~seed ~machine ~configs:[ config ] ~uops ~obs
+          ?profile:prof w)
+  in
+  let name, stats = List.hd runs in
+  Option.iter
+    (fun dir ->
+      let ledger = Obs.Ledger.create ~dir in
+      let committed =
+        Obs.Counters.value (Obs.Counters.counter "harness.uops_committed")
       in
-      (match source with
-      | `Spec p ->
-          let points = List.length (Pinpoints.points p) in
-          if phase < 0 || phase >= points then begin
-            Printf.eprintf "workload has only %d phases\n" points;
-            exit 1
-          end
-      | `Synth _ ->
-          if phase <> 0 then begin
-            Printf.eprintf "workload has only 1 phase\n";
-            exit 1
-          end);
-      if stats_interval < 0 then begin
-        Printf.eprintf "--stats-interval must be non-negative\n";
-        exit 1
-      end;
-      let machine = machine_of ~clusters topology in
-      let clusters = machine.Config.clusters in
-      (* Collect events/intervals only when some output wants them:
-         an unobserved run keeps the zero-overhead engine path. *)
-      let interval =
-        if stats_interval > 0 then stats_interval
-        else if trace_out <> None && trace_format = Trace_csv then 1000
-        else 0
+      let s =
+        Obs.Ledger.append ledger ~kind:"simulate"
+          ~label:
+            (Printf.sprintf "%s/%d/%s" profile.Profile.name phase name)
+          ~config:
+            (Json.Obj
+               [
+                 ("workload", Json.Str profile.Profile.name);
+                 ("phase", Json.Int phase);
+                 ("config", Json.Str name);
+                 ("clusters", Json.Int clusters);
+                 ("uops", Json.Int uops);
+               ])
+          ~started ~wall_s ~outcome:"ok" ~uops:committed ~gc
+          Obs.Counters.default
       in
-      let collector =
-        if trace_out <> None || interval > 0 then
-          Some (Obs.Collector.create ~interval ())
-        else None
-      in
-      Obs.Counters.reset Obs.Counters.default;
-      (* A ledger entry wants phase timings in its snapshot, so asking
-         for a ledger turns the profiler on. *)
-      let profiled = profile_flag || ledger_dir <> None in
-      let prof = if profiled then Some (Obs.Profile.create ()) else None in
-      let started = Unix.gettimeofday () in
-      let obs _ = Option.map Obs.Collector.sink collector in
-      let runs, wall_s, gc =
-        Runner.measured (fun () ->
-            match source with
-            | `Spec p ->
-                let point = List.nth (Pinpoints.points p) phase in
-                (Runner.run_point ~machine ~configs:[ config ] ~uops ~obs
-                   ?profile:prof point)
-                  .Runner.runs
-            | `Synth w ->
-                Runner.run_workload ~machine ~configs:[ config ] ~uops ~obs
-                  ?profile:prof w)
-      in
-      let name, stats = List.hd runs in
-      Option.iter
-        (fun dir ->
-          let ledger = Obs.Ledger.create ~dir in
-          let committed =
-            Obs.Counters.value (Obs.Counters.counter "harness.uops_committed")
-          in
-          let s =
-            Obs.Ledger.append ledger ~kind:"simulate"
-              ~label:
-                (Printf.sprintf "%s/%d/%s" profile.Profile.name phase name)
-              ~config:
-                (Json.Obj
-                   [
-                     ("workload", Json.Str profile.Profile.name);
-                     ("phase", Json.Int phase);
-                     ("config", Json.Str name);
-                     ("clusters", Json.Int clusters);
-                     ("uops", Json.Int uops);
-                   ])
-              ~started ~wall_s ~outcome:"ok" ~uops:committed ~gc
-              Obs.Counters.default
-          in
-          Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
-        ledger_dir;
-      Option.iter
-        (fun path ->
-          let c = Option.get collector in
-          (match trace_format with
-          | Trace_json ->
-              Obs.Chrome_trace.write ~path ~clusters
-                ~events:(Obs.Collector.events c)
-                ~samples:(Obs.Collector.samples c)
-          | Trace_csv ->
-              Clusteer_util.Csv.write ~path
-                ~header:(Obs.Interval.csv_header ~clusters)
-                (List.map Obs.Interval.csv_row (Obs.Collector.samples c)));
-          Printf.eprintf "trace written to %s (%d events kept, %d dropped)\n"
-            path
-            (List.length (Obs.Collector.events c))
-            (Obs.Collector.dropped c))
-        trace_out;
-      if json_out then
-        (* Machine-readable mode: exactly one JSON document on stdout. *)
-        (* The "topology" key appears only when --topology was given:
-           default runs keep the exact document the pinned goldens
-           (test/goldens/seed_*.json) were captured from. *)
-        let topo_field =
-          if topology = None then []
-          else [ ("topology", Topology.to_json machine.Config.topology) ]
-        in
-        let doc =
-          Json.Obj
-            ([
-               ("workload", Json.Str profile.Profile.name);
-               ("phase", Json.Int phase);
-               ("config", Json.Str name);
-               ("clusters", Json.Int clusters);
-             ]
-            @ topo_field
-            @ [
-              ("uops", Json.Int uops);
-              ("stats", Stats.to_json stats);
-              ( "energy",
-                energy_json (Clusteer_uarch.Energy.estimate ~clusters stats) );
-              ("counters", Obs.Counters.to_json Obs.Counters.default);
-              ( "intervals",
-                match collector with
-                | None -> Json.Null
-                | Some c ->
-                    Json.List
-                      (List.map Obs.Interval.to_json (Obs.Collector.samples c))
-              );
-            ])
-        in
-        print_endline (Json.to_string doc)
-      else begin
-        Printf.printf "%s phase %d under %s on %d clusters (%d uops):\n"
-          profile.Profile.name phase name clusters uops;
-        if topology <> None then
-          Printf.printf "interconnect: %s\n"
-            (Topology.describe machine.Config.topology);
-        Format.printf "%a@." Stats.pp stats;
-        let e = Clusteer_uarch.Energy.estimate ~clusters stats in
-        Printf.printf
-          "energy: %.0f units (%.2f/uop), %.0f%% static, %.1f%% of dynamic in copies\n"
-          e.Clusteer_uarch.Energy.total e.Clusteer_uarch.Energy.per_uop
-          (100. *. e.Clusteer_uarch.Energy.static_
-          /. Float.max 1e-9 e.Clusteer_uarch.Energy.total)
-          (100. *. e.Clusteer_uarch.Energy.copies
-          /. Float.max 1e-9 e.Clusteer_uarch.Energy.dynamic);
-        if collector <> None || profiled then
-          Format.printf "steering counters:@,%a@." Obs.Counters.pp
-            Obs.Counters.default
-      end
+      Printf.eprintf "ledger: run %d recorded in %s\n" s.Obs.Ledger.id dir)
+    ledger_dir;
+  Option.iter
+    (fun path ->
+      let c = Option.get collector in
+      (match trace_format with
+      | Trace_json ->
+          Obs.Chrome_trace.write ~path ~clusters
+            ~events:(Obs.Collector.events c)
+            ~samples:(Obs.Collector.samples c)
+      | Trace_csv ->
+          Clusteer_util.Csv.write ~path
+            ~header:(Obs.Interval.csv_header ~clusters)
+            (List.map Obs.Interval.csv_row (Obs.Collector.samples c)));
+      Printf.eprintf "trace written to %s (%d events kept, %d dropped)\n"
+        path
+        (List.length (Obs.Collector.events c))
+        (Obs.Collector.dropped c))
+    trace_out;
+  if json_out then
+    (* Machine-readable mode: exactly one JSON document on stdout. *)
+    (* The "topology" key appears only when --topology was given:
+       default runs keep the exact document the pinned goldens
+       (test/goldens/seed_*.json) were captured from. *)
+    let topo_field =
+      if topology = None then []
+      else [ ("topology", Topology.to_json machine.Config.topology) ]
+    in
+    let doc =
+      Json.Obj
+        ([
+           ("workload", Json.Str profile.Profile.name);
+           ("phase", Json.Int phase);
+           ("config", Json.Str name);
+           ("clusters", Json.Int clusters);
+         ]
+        @ topo_field
+        @ [
+          ("uops", Json.Int uops);
+          ("stats", Stats.to_json stats);
+          ( "energy",
+            energy_json (Clusteer_uarch.Energy.estimate ~clusters stats) );
+          ("counters", Obs.Counters.to_json Obs.Counters.default);
+          ( "intervals",
+            match collector with
+            | None -> Json.Null
+            | Some c ->
+                Json.List
+                  (List.map Obs.Interval.to_json (Obs.Collector.samples c))
+          );
+        ])
+    in
+    print_endline (Json.to_string doc)
+  else begin
+    Printf.printf "%s phase %d under %s on %d clusters (%d uops):\n"
+      profile.Profile.name phase name clusters uops;
+    if topology <> None then
+      Printf.printf "interconnect: %s\n"
+        (Topology.describe machine.Config.topology);
+    Format.printf "%a@." Stats.pp stats;
+    let e = Clusteer_uarch.Energy.estimate ~clusters stats in
+    Printf.printf
+      "energy: %.0f units (%.2f/uop), %.0f%% static, %.1f%% of dynamic in copies\n"
+      e.Clusteer_uarch.Energy.total e.Clusteer_uarch.Energy.per_uop
+      (100. *. e.Clusteer_uarch.Energy.static_
+      /. Float.max 1e-9 e.Clusteer_uarch.Energy.total)
+      (100. *. e.Clusteer_uarch.Energy.copies
+      /. Float.max 1e-9 e.Clusteer_uarch.Energy.dynamic);
+    if collector <> None || profiled then
+      Format.printf "steering counters:@,%a@." Obs.Counters.pp
+        Obs.Counters.default
+  end
 
 let simulate_cmd =
-  let phase =
-    Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
-  in
   let trace_out =
     Arg.(
       value
@@ -352,84 +422,52 @@ let simulate_cmd =
              per-cluster dispatch share) every $(docv) cycles; 0 disables."
           ~docv:"CYCLES")
   in
-  let json_out =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print final statistics (plus steering counters and any \
-             interval series) as a single JSON document on stdout.")
-  in
-  let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record the run in the ledger at $(docv) (implies \
-             $(b,--profile)); inspect with $(b,csteer runs)."
-          ~docv:"DIR")
-  in
-  let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Attach the pipeline self-profiler: per-phase wall-time \
-             histograms ($(b,profile.engine.*.ns)) in the counter \
-             registry.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one simulation point under one configuration")
     Term.(
       const simulate $ workload_arg $ clusters_arg $ topology_arg $ config_arg
-      $ uops_arg 20_000 $ phase $ trace_out $ trace_format $ stats_interval
-      $ json_out $ ledger_dir $ profile_flag)
+      $ uops_arg 20_000 $ phase_arg $ trace_out $ trace_format $ stats_interval
+      $ json_arg $ ledger_arg $ profile_arg)
 
 (* ---- compile ------------------------------------------------------- *)
 
 let compile workload clusters config emit =
   protect @@ fun () ->
-  match Spec2000.find workload with
-  | exception Not_found ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 1
-  | profile ->
-      let w = Synth.build profile in
-      let annot, _policy =
-        Clusteer.Configuration.prepare config ~program:w.Synth.program
-          ~likely:w.Synth.likely ~clusters ()
-      in
-      let n = w.Synth.program.Clusteer_isa.Program.uop_count in
-      Printf.printf "%s: %d static micro-ops, scheme %s\n" profile.Profile.name
-        n annot.Clusteer_isa.Annot.scheme;
-      if annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
-        let diag =
-          Clusteer_compiler.Diagnostics.of_annot ~program:w.Synth.program
-            ~likely:w.Synth.likely ~annot ()
-        in
-        Format.printf "%a@." Clusteer_compiler.Diagnostics.pp diag;
-        (* Partition-quality findings share the analyzer's diagnostic
-           vocabulary, so compile and check output read identically. *)
-        List.iter
-          (fun d -> Format.printf "%a@." Clusteer_isa.Diag.pp d)
-          (Clusteer_compiler.Diagnostics.findings diag)
-      end
-      else begin
-        let assigned =
-          Array.to_list annot.Clusteer_isa.Annot.cluster_of
-          |> List.filter (fun c -> c >= 0)
-        in
-        let counts = Array.make (max 1 clusters) 0 in
-        List.iter (fun c -> counts.(c) <- counts.(c) + 1) assigned;
-        Printf.printf "static clusters: %s\n"
-          (String.concat " " (Array.to_list (Array.map string_of_int counts)))
-      end;
-      Option.iter
-        (fun path ->
-          Clusteer_isa.Annot_io.save ~path annot;
-          Printf.printf "annotation written to %s\n" path)
-        emit
+  let w, _ = resolve_or_exit ~code:1 ~hint:"" ~phase:0 workload in
+  let annot, _policy =
+    Clusteer.Configuration.prepare config ~program:w.Synth.program
+      ~likely:w.Synth.likely ~clusters ()
+  in
+  let n = w.Synth.program.Clusteer_isa.Program.uop_count in
+  Printf.printf "%s: %d static micro-ops, scheme %s\n"
+    w.Synth.profile.Profile.name n annot.Clusteer_isa.Annot.scheme;
+  if annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
+    let diag =
+      Clusteer_compiler.Diagnostics.of_annot ~program:w.Synth.program
+        ~likely:w.Synth.likely ~annot ()
+    in
+    Format.printf "%a@." Clusteer_compiler.Diagnostics.pp diag;
+    (* Partition-quality findings share the analyzer's diagnostic
+       vocabulary, so compile and check output read identically. *)
+    List.iter
+      (fun d -> Format.printf "%a@." Clusteer_isa.Diag.pp d)
+      (Clusteer_compiler.Diagnostics.findings diag)
+  end
+  else begin
+    let assigned =
+      Array.to_list annot.Clusteer_isa.Annot.cluster_of
+      |> List.filter (fun c -> c >= 0)
+    in
+    let counts = Array.make (max 1 clusters) 0 in
+    List.iter (fun c -> counts.(c) <- counts.(c) + 1) assigned;
+    Printf.printf "static clusters: %s\n"
+      (String.concat " " (Array.to_list (Array.map string_of_int counts)))
+  end;
+  Option.iter
+    (fun path ->
+      Clusteer_isa.Annot_io.save ~path annot;
+      Printf.printf "annotation written to %s\n" path)
+    emit
 
 let compile_cmd =
   let emit =
@@ -469,29 +507,22 @@ let default_check_policies clusters =
 
 (* Workload selection shared by check and analyze: --all covers every
    SPEC profile plus the three adversarial scenarios — the generator's
-   outputs are part of the checked surface. *)
-let resolve_synths ~cmd ~all workloads =
-  if all then
-    List.map Synth.build Spec2000.all
-    @ List.map snd Clusteer_workloads.Adversarial.all
-  else
-    match workloads with
-    | None ->
-        Printf.eprintf "csteer: %s needs -w WORKLOADS or --all\n" cmd;
-        exit 2
-    | Some names ->
-        List.map
-          (fun name ->
-            match List.assoc_opt name (synth_workloads ()) with
-            | Some w -> w
-            | None -> (
-                match Spec2000.find name with
-                | p -> Synth.build p
-                | exception Not_found ->
-                    Printf.eprintf "unknown workload %S (try `csteer list`)\n"
-                      name;
-                    exit 2))
-          (split_csv names)
+   outputs are part of the checked surface. Every name resolves
+   through the harness resolver at phase 0, so the program checked is
+   the one [simulate] replays. *)
+let resolve_targets ~cmd ~all workloads =
+  let names =
+    if all then
+      List.map (fun (p : Profile.t) -> p.Profile.name) Spec2000.all
+      @ List.map fst Clusteer_workloads.Adversarial.all
+    else
+      match workloads with
+      | None ->
+          Printf.eprintf "csteer: %s needs -w WORKLOADS or --all\n" cmd;
+          exit 2
+      | Some names -> split_csv names
+  in
+  List.map (resolve_or_exit ~code:2 ~hint:try_list ~phase:0) names
 
 let resolve_configs ~machine policies =
   match policies with
@@ -507,28 +538,53 @@ let resolve_configs ~machine policies =
         (split_csv names)
 
 (* --annot swaps in an externally supplied annotation, which only makes
-   sense against exactly one workload × policy. *)
-let restrict_annot ~annot_file ~synths ~configs =
-  match annot_file with
-  | Some _ when List.length synths > 1 || List.length configs > 1 ->
+   sense against exactly one workload × policy — and never under a
+   replay, which steers with the freshly compiled annotation and would
+   judge the file by a run it did not drive. *)
+let restrict_annot ~annot_file ~replay ~targets ~configs =
+  match (annot_file, replay) with
+  | Some _, Some flag ->
+      Printf.eprintf
+        "csteer: --annot cannot be combined with %s (the replay steers with \
+         the compiled annotation)\n"
+        flag;
+      exit 2
+  | Some _, None when List.length targets > 1 || List.length configs > 1 ->
       Printf.eprintf
         "csteer: --annot applies to exactly one workload and one policy\n";
       exit 2
   | _ -> ()
 
-let check_one ~machine ~passes ~region_uops ~annot_file ~dynamic ~dynamic_uops
-    (w : Synth.t) config =
+let target_annot ~machine ~params ~annot_file (w : Synth.t) config =
+  match annot_file with
+  | Some path -> Clusteer_isa.Annot_io.load ~path
+  | None ->
+      fst
+        (Clusteer.Configuration.prepare config ~program:w.Synth.program
+           ~likely:w.Synth.likely ~clusters:machine.Config.clusters ~params ())
+
+(* The DYN and drift replays run exactly the uop stream [simulate -n
+   uops] executes — the resolver's seed, [default_warmup uops + uops]
+   micro-ops — but from reset, with nothing excluded as warmup: the
+   policy's remap counters are not reset at a warmup boundary, so only
+   a whole-run window puts copies, dispatches and remaps over the same
+   micro-ops. A private registry keeps each target's counters apart. *)
+let replay ~machine ~params ~obs ~uops (w, seed) config =
+  let registry = Obs.Counters.create () in
+  let runs =
+    Runner.run_workload ~warmup:0 ~seed ~obs:(fun _ -> obs) ~registry ~params
+      ~machine ~configs:[ config ]
+      ~uops:(Runner.default_warmup uops + uops)
+      w
+  in
+  (snd (List.hd runs), registry)
+
+let check_one ~machine ~passes ~params ~annot_file ~dynamic ~dynamic_uops
+    ((w : Synth.t), seed) config =
   let clusters = machine.Config.clusters in
   let program = w.Synth.program and likely = w.Synth.likely in
-  let annot, policy =
-    Clusteer.Configuration.prepare config ~program ~likely ~clusters
-      ~region_uops ()
-  in
-  let annot =
-    match annot_file with
-    | None -> annot
-    | Some path -> Clusteer_isa.Annot_io.load ~path
-  in
+  let region_uops = params.Clusteer.Configuration.region_uops in
+  let annot = target_annot ~machine ~params ~annot_file w config in
   let claimed =
     if annot.Clusteer_isa.Annot.virtual_clusters > 0 then
       Some
@@ -544,23 +600,13 @@ let check_one ~machine ~passes ~region_uops ~annot_file ~dynamic ~dynamic_uops
   in
   let events =
     if dynamic && annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
-      (* Replay the actual policy on the real trace, recording every
-         steering decision for the DYN invariant pass. *)
-      let recording_policy, recorded = Analysis.Dyn_check.recording policy in
-      let prewarm =
-        Array.to_list
-          (Array.map Clusteer_trace.Mem_model.extent w.Synth.streams)
-      in
-      let engine =
-        Clusteer_uarch.Engine.create ~config:machine ~annot
-          ~policy:recording_policy ~prewarm ()
-      in
-      let gen = Synth.trace w ~seed:1 in
-      let (_ : Stats.t) =
-        Clusteer_uarch.Engine.run ~warmup:0 engine
-          ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-          ~uops:dynamic_uops
-      in
+      (* Replay the actual policy on the stream [simulate] runs,
+         recording every steering decision for the DYN invariant
+         pass. *)
+      let sink, recorded = Analysis.Dyn_check.recorder () in
+      ignore
+        (replay ~machine ~params ~obs:(Some sink) ~uops:dynamic_uops (w, seed)
+           config);
       Some (recorded ())
     end
     else None
@@ -593,18 +639,21 @@ let check all workloads clusters topology policies passes annot_file dynamic
           "csteer: %s (expected ir, liv, vc, place, cost, dyn, topo, meta)\n" e;
         exit 2
   in
-  let synths = resolve_synths ~cmd:"check" ~all workloads in
+  let targets = resolve_targets ~cmd:"check" ~all workloads in
   let machine = machine_of ~clusters topology in
   let configs = resolve_configs ~machine policies in
-  restrict_annot ~annot_file ~synths ~configs;
+  restrict_annot ~annot_file
+    ~replay:(if dynamic then Some "--dynamic" else None)
+    ~targets ~configs;
+  let params = { Clusteer.Configuration.default_params with region_uops } in
   let reports =
     List.concat_map
-      (fun w ->
+      (fun target ->
         List.map
-          (check_one ~machine ~passes ~region_uops ~annot_file ~dynamic
-             ~dynamic_uops w)
+          (check_one ~machine ~passes ~params ~annot_file ~dynamic
+             ~dynamic_uops target)
           configs)
-      synths
+      targets
   in
   let failed =
     List.exists
@@ -650,29 +699,6 @@ let check all workloads clusters topology policies passes annot_file dynamic
   if failed then exit 1
 
 let check_cmd =
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Check every built-in workload profile.")
-  in
-  let workloads =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "w"; "workloads" ]
-          ~doc:"Comma-separated workload names (e.g. mcf,gzip)."
-          ~docv:"NAMES")
-  in
-  let policies =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "p"; "policies" ]
-          ~doc:
-            "Comma-separated steering configurations to verify (default: \
-             ob,rhop,vc2, plus vcN on an N-cluster machine)."
-          ~docv:"NAMES")
-  in
   let passes =
     Arg.(
       value & opt string ""
@@ -683,50 +709,23 @@ let check_cmd =
              Default: all applicable passes."
           ~docv:"LIST")
   in
-  let annot_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "annot" ]
-          ~doc:
-            "Verify this annotation file (from $(b,csteer compile --emit)) \
-             instead of the freshly compiled one. Requires a single \
-             workload and policy."
-          ~docv:"FILE")
-  in
   let dynamic =
     Arg.(
       value & flag
       & info [ "dynamic" ]
           ~doc:
-            "Also replay the steering policy on the real trace and verify \
-             the VC-table remap contract (leaders may remap, followers \
-             must follow).")
+            "Also replay the steering policy on the stream $(b,csteer \
+             simulate) runs and verify the VC-table remap contract \
+             (leaders may remap, followers must follow).")
   in
   let dynamic_uops =
     Arg.(
       value & opt int 5_000
       & info [ "dynamic-uops" ]
-          ~doc:"Committed micro-ops to replay under $(b,--dynamic)."
+          ~doc:
+            "Replay under $(b,--dynamic) the stream $(b,csteer simulate -n) \
+             $(docv) runs, warmup included, from reset."
           ~docv:"N")
-  in
-  let region_uops =
-    Arg.(
-      value & opt int 512
-      & info [ "region-uops" ]
-          ~doc:"Region size used when recomputing chains and slack."
-          ~docv:"N")
-  in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Treat warnings as failures (info never fails).")
-  in
-  let json_out =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Print one JSON document with per-target diagnostics.")
   in
   Cmd.v
     (Cmd.info "check"
@@ -735,9 +734,9 @@ let check_cmd =
           well-formedness, chain/leader invariants, static placement and \
           (optionally) the dynamic remap contract")
     Term.(
-      const check $ all $ workloads $ clusters_arg $ topology_arg $ policies
-      $ passes $ annot_file $ dynamic $ dynamic_uops $ region_uops $ strict
-      $ json_out)
+      const check $ all_arg $ workloads_arg $ clusters_arg $ topology_arg
+      $ policies_arg $ passes $ annot_arg $ dynamic $ dynamic_uops
+      $ region_uops_arg $ strict_arg $ json_arg)
 
 (* ---- analyze ------------------------------------------------------- *)
 
@@ -747,32 +746,12 @@ let check_cmd =
    findings unless --strict, [analyze] is a report: the LIV/CM infos
    are the point, so they always print. *)
 
-let analyze_one ~machine ~region_uops ~annot_file ~vs_run ~run_uops
-    ~max_copy_rate ~max_imbalance (w : Synth.t) config =
+let analyze_one ~machine ~params ~annot_file ~vs_run ~run_uops
+    ~max_copy_rate ~max_imbalance ((w : Synth.t), seed) config =
   let clusters = machine.Config.clusters in
   let topology = machine.Config.topology in
-  let program = w.Synth.program and likely = w.Synth.likely in
-  (* Private counter registry per target: the drift check reads the
-     policy's remap counters, and targets must not share mutable
-     counter state. The topology is threaded into the policy the same
-     way the harness does, so a --vs-run replay steers exactly like
-     [csteer simulate] on the same fabric. *)
-  let registry = Obs.Counters.create () in
-  let params =
-    {
-      Clusteer.Configuration.default_params with
-      Clusteer.Configuration.topology = Some topology;
-    }
-  in
-  let annot, policy =
-    Clusteer.Configuration.prepare config ~program ~likely ~clusters
-      ~region_uops ~params ~registry ()
-  in
-  let annot =
-    match annot_file with
-    | None -> annot
-    | Some path -> Clusteer_isa.Annot_io.load ~path
-  in
+  let program = w.Synth.program in
+  let annot = target_annot ~machine ~params ~annot_file w config in
   let liveness = Analysis.Liveness.analyze program in
   let model, corrupt =
     Analysis.Cost_model.analyze ~program ~annot ~topology ~clusters ~liveness
@@ -786,25 +765,13 @@ let analyze_one ~machine ~region_uops ~annot_file ~vs_run ~run_uops
   in
   let drift, dispatched =
     if not vs_run then ([], 0)
-    else begin
-      let prewarm =
-        Array.to_list
-          (Array.map Clusteer_trace.Mem_model.extent w.Synth.streams)
-      in
-      let engine =
-        Clusteer_uarch.Engine.create ~config:machine ~annot ~policy ~prewarm
-          ()
-      in
-      let gen = Synth.trace w ~seed:1 in
-      let stats =
-        Clusteer_uarch.Engine.run ~warmup:0 engine
-          ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-          ~uops:run_uops
+    else
+      let stats, registry =
+        replay ~machine ~params ~obs:None ~uops:run_uops (w, seed) config
       in
       let run = Analysis.Dyn_check.observe_run ~registry stats in
       ( Analysis.Dyn_check.check_drift ~model run,
         run.Analysis.Dyn_check.dispatched )
-    end
   in
   let diags = List.sort Diag.compare (static_diags @ drift) in
   let label =
@@ -816,20 +783,23 @@ let analyze_one ~machine ~region_uops ~annot_file ~vs_run ~run_uops
 let analyze all workloads clusters topology policies annot_file region_uops
     vs_run run_uops max_copy_rate max_imbalance strict json ledger_dir =
   protect @@ fun () ->
-  let synths = resolve_synths ~cmd:"analyze" ~all workloads in
+  let targets = resolve_targets ~cmd:"analyze" ~all workloads in
   let machine = machine_of ~clusters topology in
   let configs = resolve_configs ~machine policies in
-  restrict_annot ~annot_file ~synths ~configs;
+  restrict_annot ~annot_file
+    ~replay:(if vs_run then Some "--vs-run" else None)
+    ~targets ~configs;
+  let params = { Clusteer.Configuration.default_params with region_uops } in
   let started = Unix.gettimeofday () in
   let reports, wall_s, gc =
     Runner.measured (fun () ->
         List.concat_map
-          (fun w ->
+          (fun target ->
             List.map
-              (analyze_one ~machine ~region_uops ~annot_file ~vs_run
-                 ~run_uops ~max_copy_rate ~max_imbalance w)
+              (analyze_one ~machine ~params ~annot_file ~vs_run ~run_uops
+                 ~max_copy_rate ~max_imbalance target)
               configs)
-          synths)
+          targets)
   in
   let failed =
     List.exists
@@ -911,60 +881,22 @@ let analyze all workloads clusters topology policies annot_file region_uops
   if failed then exit 1
 
 let analyze_cmd =
-  let all =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Analyze every built-in workload profile.")
-  in
-  let workloads =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "w"; "workloads" ]
-          ~doc:"Comma-separated workload names (e.g. mcf,gzip)."
-          ~docv:"NAMES")
-  in
-  let policies =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "p"; "policies" ]
-          ~doc:
-            "Comma-separated steering configurations to model (default: \
-             ob,rhop,vc2, plus vcN on an N-cluster machine)."
-          ~docv:"NAMES")
-  in
-  let annot_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "annot" ]
-          ~doc:
-            "Model this annotation file (from $(b,csteer compile --emit)) \
-             instead of the freshly compiled one. Requires a single \
-             workload and policy."
-          ~docv:"FILE")
-  in
-  let region_uops =
-    Arg.(
-      value & opt int 512
-      & info [ "region-uops" ]
-          ~doc:"Region size used by the compiler passes." ~docv:"N")
-  in
   let vs_run =
     Arg.(
       value & flag
       & info [ "vs-run" ]
           ~doc:
-            "Also simulate each target and verify the dynamic copy and \
-             remap counters land inside the static bounds (drift codes \
-             CM100..CM103).")
+            "Also replay each target on the stream $(b,csteer simulate) \
+             runs and verify the dynamic copy and remap counters land \
+             inside the static bounds (drift codes CM100..CM103).")
   in
   let run_uops =
     Arg.(
       value & opt int 20_000
       & info [ "n"; "uops" ]
-          ~doc:"Committed micro-ops to simulate under $(b,--vs-run)."
+          ~doc:
+            "Replay under $(b,--vs-run) the stream $(b,csteer simulate -n) \
+             $(docv) runs, warmup included, from reset."
           ~docv:"N")
   in
   let max_copy_rate =
@@ -988,29 +920,6 @@ let analyze_cmd =
              (default 4.0)."
           ~docv:"X")
   in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Treat warnings as failures (info never fails).")
-  in
-  let json_out =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Print one JSON document with the per-target model and \
-             diagnostics.")
-  in
-  let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record the analysis in the ledger at $(docv); inspect with \
-             $(b,csteer runs)."
-          ~docv:"DIR")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
@@ -1018,27 +927,18 @@ let analyze_cmd =
           the communication cost model — and optionally verify a real run \
           stays inside the predicted bounds")
     Term.(
-      const analyze $ all $ workloads $ clusters_arg $ topology_arg
-      $ policies $ annot_file $ region_uops $ vs_run $ run_uops
-      $ max_copy_rate $ max_imbalance $ strict $ json_out $ ledger_dir)
+      const analyze $ all_arg $ workloads_arg $ clusters_arg $ topology_arg
+      $ policies_arg $ annot_arg $ region_uops_arg $ vs_run $ run_uops
+      $ max_copy_rate $ max_imbalance $ strict_arg $ json_arg $ ledger_arg)
 
 (* ---- stats ---------------------------------------------------------- *)
 
 let workload_stats workload uops =
-  let w =
-    match List.assoc_opt workload (synth_workloads ()) with
-    | Some k -> k
-    | None -> (
-        match Spec2000.find workload with
-        | profile -> Synth.build profile
-        | exception Not_found ->
-            Printf.eprintf
-              "unknown workload %S (SPEC names, kernels or adversarial: %s)\n"
-              workload
-              (String.concat ", " (List.map fst (synth_workloads ())));
-            exit 1)
+  let w, seed =
+    resolve_or_exit ~code:1 ~phase:0 workload
+      ~hint:("SPEC names, kernels or adversarial: " ^ synth_names ())
   in
-  let mix = Clusteer_workloads.Analysis.measure w ~uops ~seed:1 in
+  let mix = Clusteer_workloads.Analysis.measure w ~uops ~seed in
   Printf.printf "%s (%d static micro-ops):\n"
     w.Synth.profile.Profile.name w.Synth.program.Clusteer_isa.Program.uop_count;
   Format.printf "%a@." Clusteer_workloads.Analysis.pp mix
@@ -1426,15 +1326,6 @@ let experiment_cmd =
     let doc = "Directory for CSV export of the figure data." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~doc)
   in
-  let domains =
-    let doc =
-      "Worker domains for the sweep (default: the host's recommended \
-       domain count, capped at 8). Results are identical for any value: \
-       simulation points are sharded deterministically and merged in \
-       input order. Use 1 to force a sequential run."
-    in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
-  in
   let steal =
     let doc =
       "Distribute simulation points dynamically (atomic-cursor work \
@@ -1444,16 +1335,6 @@ let experiment_cmd =
     in
     Arg.(value & flag & info [ "steal" ] ~doc)
   in
-  let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record the sweep in the run ledger at $(docv), with per-shard \
-             pipeline profiling; inspect with $(b,csteer runs)."
-          ~docv:"DIR")
-  in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:
@@ -1461,7 +1342,7 @@ let experiment_cmd =
           workload over an interconnect topology with $(b,--topology)")
     Term.(
       const experiment $ which $ topology $ uops_arg 20_000 $ benchmarks $ csv
-      $ domains $ steal $ ledger_dir)
+      $ domains_arg $ steal $ ledger_arg)
 
 (* ---- serve / submit / batch ---------------------------------------- *)
 
@@ -1508,14 +1389,6 @@ let serve_cmd =
              $(b,queue_full) instead of queued without bound."
           ~docv:"N")
   in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ]
-          ~doc:"Worker-pool domains (default: the harness default, capped at 8)."
-          ~docv:"N")
-  in
   let cache_mb =
     Arg.(
       value & opt int 64
@@ -1532,33 +1405,14 @@ let serve_cmd =
              misses from there (e.g. $(b,_cache))."
           ~docv:"DIR")
   in
-  let ledger_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ]
-          ~doc:
-            "Record every batch in the run ledger at $(docv) (implies \
-             $(b,--profile)); inspect with $(b,csteer runs)."
-          ~docv:"DIR")
-  in
-  let profile_flag =
-    Arg.(
-      value & flag
-      & info [ "profile" ]
-          ~doc:
-            "Attach the pipeline self-profiler: $(b,profile.serve.*.ns) \
-             batch spans and the workers' $(b,profile.engine.*.ns) phase \
-             timings, scrapeable via the $(b,metrics) command.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the batch simulation service on a Unix-domain socket until a \
           client sends shutdown")
     Term.(
-      const serve $ socket_arg $ queue_depth $ domains $ cache_mb $ cache_dir
-      $ ledger_dir $ profile_flag)
+      const serve $ socket_arg $ queue_depth $ domains_arg $ cache_mb
+      $ cache_dir $ ledger_arg $ profile_arg)
 
 let print_simulate_response ~json line =
   if json then print_endline line
@@ -1633,15 +1487,6 @@ let submit socket workload phase clusters config uops warmup seed deadline_ms
             exit 1)
 
 let submit_cmd =
-  let workload =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "w"; "workload" ] ~doc:"Workload name (e.g. 181.mcf or mcf).")
-  in
-  let phase =
-    Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
-  in
   let warmup =
     Arg.(
       value
@@ -1674,18 +1519,15 @@ let submit_cmd =
   let shutdown =
     Arg.(value & flag & info [ "shutdown" ] ~doc:"Stop the server.")
   in
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the raw response line (always exit 0).")
-  in
   Cmd.v
     (Cmd.info "submit"
-       ~doc:"Submit one simulation request to a running csteer serve")
+       ~doc:
+         "Submit one simulation request to a running csteer serve; \
+          $(b,--json) prints the raw response line and always exits 0")
     Term.(
-      const submit $ socket_arg $ workload $ phase $ clusters_arg $ config_arg
-      $ uops_arg 20_000 $ warmup $ seed $ deadline_ms $ stats $ shutdown
-      $ json)
+      const submit $ socket_arg $ workload_opt_arg $ phase_arg $ clusters_arg
+      $ config_arg $ uops_arg 20_000 $ warmup $ seed $ deadline_ms $ stats
+      $ shutdown $ json_arg)
 
 (* Extract the verbatim result document from an ok response line; the
    encoder places it last, so this preserves byte identity. *)
@@ -1811,49 +1653,26 @@ let metrics socket workload clusters config uops phase =
   | Some workload -> (
       (* One-shot local dump: run the point under the profiler and
          expose the process registry. *)
-      match Spec2000.find workload with
-      | exception Not_found ->
-          Printf.eprintf "unknown workload %S (try `csteer list`)\n" workload;
-          exit 1
-      | profile ->
-          let point =
-            match List.nth_opt (Pinpoints.points profile) phase with
-            | Some p -> p
-            | None ->
-                Printf.eprintf "workload has only %d phases\n"
-                  (List.length (Pinpoints.points profile));
-                exit 1
-          in
-          let machine = Config.default ~clusters in
-          Obs.Counters.reset Obs.Counters.default;
-          let prof = Obs.Profile.create () in
-          let (_ : Runner.point_result) =
-            Runner.run_point ~machine ~configs:[ config ] ~uops ~profile:prof
-              point
-          in
-          print_string (Obs.Expo.render Obs.Counters.default))
+      let w, seed = resolve_or_exit ~code:1 ~hint:try_list ~phase workload in
+      let machine = Config.default ~clusters in
+      Obs.Counters.reset Obs.Counters.default;
+      let prof = Obs.Profile.create () in
+      let (_ : (string * Stats.t) list) =
+        Runner.run_workload ~seed ~machine ~configs:[ config ] ~uops
+          ~profile:prof w
+      in
+      print_string (Obs.Expo.render Obs.Counters.default))
 
 let metrics_cmd =
-  let workload =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "w"; "workload" ]
-          ~doc:
-            "Run one simulation point locally (with the self-profiler) and \
-             dump its registry instead of scraping a server.")
-  in
-  let phase =
-    Arg.(value & opt int 0 & info [ "phase" ] ~doc:"Simulation point index.")
-  in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
          "Expose counters and histograms as Prometheus text: scrape a \
-          running csteer serve, or run one point locally with $(b,-w)")
+          running csteer serve, or run one point locally under the \
+          self-profiler with $(b,-w) and dump its registry")
     Term.(
-      const metrics $ socket_arg $ workload $ clusters_arg $ config_arg
-      $ uops_arg 20_000 $ phase)
+      const metrics $ socket_arg $ workload_opt_arg $ clusters_arg $ config_arg
+      $ uops_arg 20_000 $ phase_arg)
 
 (* ---- runs ----------------------------------------------------------- *)
 
@@ -1928,14 +1747,9 @@ let runs_gc dir keep =
 
 let runs_cmd =
   let list_cmd =
-    let json =
-      Arg.(
-        value & flag
-        & info [ "json" ] ~doc:"Print the summaries as one JSON array.")
-    in
     Cmd.v
       (Cmd.info "list" ~doc:"List recorded runs (id, kind, wall time, GC)")
-      Term.(const runs_list $ runs_dir_arg $ json)
+      Term.(const runs_list $ runs_dir_arg $ json_arg)
   in
   let show_cmd =
     let id =
@@ -2042,18 +1856,13 @@ let topo_show name clusters json =
   end
 
 let topo_cmd =
-  let json =
-    Arg.(
-      value & flag
-      & info [ "json" ] ~doc:"Print the description as one JSON document.")
-  in
   let list_cmd =
     Cmd.v
       (Cmd.info "list"
          ~doc:
            "List the built-in interconnect topologies with their derived \
             metrics")
-      Term.(const topo_list $ clusters_arg $ json)
+      Term.(const topo_list $ clusters_arg $ json_arg)
   in
   let show_cmd =
     let name_arg =
@@ -2068,7 +1877,7 @@ let topo_cmd =
          ~doc:
            "Describe one topology: JSON round-trip form, diameter, mean \
             distance and the full hop-count matrix")
-      Term.(const topo_show $ name_arg $ clusters_arg $ json)
+      Term.(const topo_show $ name_arg $ clusters_arg $ json_arg)
   in
   Cmd.group
     (Cmd.info "topo"
@@ -2202,19 +2011,6 @@ let tune_cmd =
       let doc = "Evaluation budget: distinct candidates to score." in
       Arg.(value & opt int 12 & info [ "max-evals" ] ~doc ~docv:"N")
     in
-    let benchmarks =
-      let doc =
-        "Comma-separated workload subset (default: the whole pool)."
-      in
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "w"; "workloads" ] ~doc ~docv:"NAMES")
-    in
-    let domains =
-      let doc = "Worker domains for each evaluation's sweep." in
-      Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
-    in
     let out =
       let doc = "Directory for the study artifact." in
       Arg.(value & opt string "tune" & info [ "out" ] ~doc ~docv:"DIR")
@@ -2230,10 +2026,6 @@ let tune_cmd =
         & opt (some string) None
         & info [ "champion" ] ~doc ~docv:"FILE")
     in
-    let ledger_dir =
-      let doc = "Record one ledger entry per evaluation under DIR." in
-      Arg.(value & opt (some string) None & info [ "ledger" ] ~doc ~docv:"DIR")
-    in
     let epsilon_pct =
       let doc = "AB tie band: IPC deltas within this percentage tie." in
       Arg.(
@@ -2243,30 +2035,24 @@ let tune_cmd =
       let doc = "Extra salted trace streams used to re-measure ties." in
       Arg.(value & opt int 2 & info [ "tie-seeds" ] ~doc ~docv:"N")
     in
-    let json =
-      Arg.(
-        value & flag & info [ "json" ] ~doc:"Print the study as JSON.")
-    in
     Cmd.v
       (Cmd.info "run"
          ~doc:
-           "Search the parameter space under a budget and compare the best \
-            candidate AB against the reigning champion")
+           "Search the parameter space under a budget (over the $(b,-w) \
+            workload subset, default the whole pool; one ledger entry per \
+            evaluation) and compare the best candidate AB against the \
+            reigning champion")
       Term.(
-        const tune_run $ space_arg $ algo $ seed $ max_evals $ benchmarks
-        $ clusters_arg $ uops_arg 20_000 $ domains $ out $ champion_file
-        $ ledger_dir $ epsilon_pct $ tie_seeds $ json)
+        const tune_run $ space_arg $ algo $ seed $ max_evals $ workloads_arg
+        $ clusters_arg $ uops_arg 20_000 $ domains_arg $ out $ champion_file
+        $ ledger_arg $ epsilon_pct $ tie_seeds $ json_arg)
   in
   let report_cmd =
-    let json =
-      Arg.(
-        value & flag & info [ "json" ] ~doc:"Print the study as JSON.")
-    in
     Cmd.v
       (Cmd.info "report"
          ~doc:
            "Render a saved study: leaderboard, AB table and verdict")
-      Term.(const tune_report $ study_file_arg $ json)
+      Term.(const tune_report $ study_file_arg $ json_arg)
   in
   let promote_cmd =
     let out =

@@ -41,9 +41,9 @@ let () =
   Fmt.pr "Custom workload %s: %d phases, %d micro-ops per phase@.@."
     sparse_solver.Profile.name sparse_solver.Profile.phases uops;
   let results =
-    Runner.run_benchmark ~machine:Config.default_2c
+    Runner.run_suite ~machine:Config.default_2c
       ~configs:(Clusteer.Configuration.table3 ~clusters:2)
-      ~uops sparse_solver
+      ~uops [ sparse_solver ]
   in
   (* Phase-weighted slowdown vs OP, as the paper reports. *)
   let configs =

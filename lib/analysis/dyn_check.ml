@@ -1,6 +1,5 @@
 open Clusteer_isa
 module Uarch = Clusteer_uarch
-module Trace = Clusteer_trace
 module Counters = Clusteer_obs.Counters
 module Topology = Clusteer_topo.Topology
 
@@ -9,17 +8,15 @@ type event = { uop : int; cluster : int }
 let codes = [ "DYN001"; "DYN002" ]
 let drift_codes = [ "CM100"; "CM101"; "CM102"; "CM103" ]
 
-let recording (policy : Uarch.Policy.t) =
+let recorder () =
   let events = ref [] in
-  let decide view duop =
-    let d = policy.Uarch.Policy.decide view duop in
-    (match d with
-    | Uarch.Policy.Dispatch_to cluster ->
-        events := { uop = Trace.Dynuop.static_id duop; cluster } :: !events
-    | Uarch.Policy.Stall -> ());
-    d
+  let emit = function
+    | Clusteer_obs.Event.Steer { static_id; cluster; _ } ->
+        events := { uop = static_id; cluster } :: !events
+    | _ -> ()
   in
-  ({ policy with Uarch.Policy.decide }, fun () -> List.rev !events)
+  ( { Clusteer_obs.Sink.null with Clusteer_obs.Sink.emit },
+    fun () -> List.rev !events )
 
 let check ~annot ~clusters events =
   let n = Array.length annot.Annot.vc_of in

@@ -33,10 +33,12 @@ type event = {
   cluster : int;  (** cluster the policy dispatched it to *)
 }
 
-val recording : Uarch.Policy.t -> Uarch.Policy.t * (unit -> event list)
-(** Wrap a policy so every [Dispatch_to] decision is recorded; the
-    second component returns the events seen so far, oldest first.
-    [Stall] decisions are not events — the engine retries them. *)
+val recorder : unit -> Clusteer_obs.Sink.t * (unit -> event list)
+(** An observability sink that records the engine's [Steer] events —
+    one per [Dispatch_to] decision, so [Stall] decisions (which the
+    engine retries) are not events. Install it in the replayed engine
+    (the harness runner's [obs] argument); the second
+    component returns the events seen so far, oldest first. *)
 
 val check : annot:Annot.t -> clusters:int -> event list -> Diag.t list
 (** Replay a decision stream against the oracle table. Events for

@@ -124,15 +124,13 @@ val prepare :
   program:Program.t ->
   likely:(int -> int option) ->
   clusters:int ->
-  ?region_uops:int ->
   ?params:params ->
   ?annot:Annot.t ->
   ?registry:Clusteer_obs.Counters.registry ->
   unit ->
   Annot.t * Clusteer_uarch.Policy.t
-(** [params] tunes every knob at once (default {!default_params});
-    [region_uops], kept for backward compatibility, overrides
-    [params.region_uops] when given explicitly.
+(** [params] tunes every knob at once (default {!default_params}),
+    including the compiler's region budget [params.region_uops].
 
     [registry] is where the policy registers its introspection
     counters (default {!Clusteer_obs.Counters.default}). The parallel

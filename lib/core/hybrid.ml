@@ -1,16 +1,8 @@
 module Compiler = Clusteer_compiler
 module Steer = Clusteer_steer
-module Uarch = Clusteer_uarch
 
 let compile ~program ~likely ~virtual_clusters ?(region_uops = 512) () =
   Compiler.Vc_partition.compile ~program ~likely ~virtual_clusters ~region_uops
     ()
 
 let policy ~annot ~clusters = Steer.Vc_map.make ~annot ~clusters ()
-
-let simulate ~config ~virtual_clusters ~program ~likely ~source ~uops
-    ?(region_uops = 512) () =
-  let annot = compile ~program ~likely ~virtual_clusters ~region_uops () in
-  let policy = policy ~annot ~clusters:config.Uarch.Config.clusters in
-  let engine = Uarch.Engine.create ~config ~annot ~policy () in
-  Uarch.Engine.run engine ~source ~uops

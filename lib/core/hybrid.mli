@@ -1,13 +1,19 @@
 (** One-stop API for the paper's contribution: the software-hardware
-    hybrid steering mechanism based on virtual clusters.
+    hybrid steering mechanism based on virtual clusters — its software
+    half ({!compile}) and its hardware half ({!policy}).
+
+    To simulate the hybrid end to end, run the [Vc] configuration
+    through the harness, which compiles, steers and replays the
+    workload's stream in one call:
 
     {[
-      let workload = (* a program + profile feedback *) in
-      let sim =
-        Hybrid.simulate ~config:(Clusteer_uarch.Config.default_2c)
-          ~virtual_clusters:2 ~program ~likely ~source ~uops:50_000 ()
+      let runs =
+        Clusteer_harness.Runner.run_workload
+          ~machine:Clusteer_uarch.Config.default_2c
+          ~configs:[ Configuration.Vc { virtual_clusters = 2 } ]
+          ~uops:50_000 workload
       in
-      Fmt.pr "IPC %.2f, %d copies@." (Clusteer_uarch.Stats.ipc sim) ...
+      Fmt.pr "IPC %.2f@." (Clusteer_uarch.Stats.ipc (List.assoc "vc2" runs))
     ]} *)
 
 open Clusteer_isa
@@ -26,16 +32,3 @@ val policy :
   annot:Annot.t -> clusters:int -> Clusteer_uarch.Policy.t
 (** The hardware half (Fig. 4): the VC→physical mapping table driven
     by workload counters at chain leaders. *)
-
-val simulate :
-  config:Clusteer_uarch.Config.t ->
-  virtual_clusters:int ->
-  program:Program.t ->
-  likely:(int -> int option) ->
-  source:(unit -> Clusteer_trace.Dynuop.t) ->
-  uops:int ->
-  ?region_uops:int ->
-  unit ->
-  Clusteer_uarch.Stats.t
-(** Compile, build the policy, run the engine: the full hybrid stack
-    end to end. *)

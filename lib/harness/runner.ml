@@ -46,6 +46,25 @@ let salted_trace_seed ~salt (point : Pinpoints.point) =
     let z = logxor z (shift_right_logical z 31) in
     to_int (shift_right_logical z 2)
 
+(* The one place a workload name becomes a replayable stream. A SPEC
+   phase resolves to what [run_point] replays for it, so a name means
+   the same stream in every command. *)
+type resolve_error = Unknown_workload | Phase_out_of_range of int
+
+let resolve ~phase name =
+  match List.assoc_opt name (Kernels.all @ Adversarial.all) with
+  | Some w -> if phase = 0 then Ok (w, 1) else Error (Phase_out_of_range 1)
+  | None -> (
+      match Spec2000.find name with
+      | exception Not_found -> Error Unknown_workload
+      | profile ->
+          let points = Pinpoints.points profile in
+          let phases = List.length points in
+          if phase < 0 || phase >= phases then Error (Phase_out_of_range phases)
+          else
+            let point = List.nth points phase in
+            Ok (Synth.build point.Pinpoints.profile, trace_seed point))
+
 (* Default warmup: half the measured length, capped — enough to fill
    the L1 and train the predictor at the scaled-down trace sizes — and
    always strictly below the measured budget, so tiny runs (fewer than
@@ -349,11 +368,6 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?chunk ?strategy
           Counters.merge ~into:Counters.default registry)
         shards;
       results
-
-let run_benchmark ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profile =
-  run_points ?warmup ?domains ?chunk ?strategy ?profiled ?params ?trace_salt
-    ~machine ~configs ~uops [ profile ]
 
 let run_suite ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
     ?trace_salt ~machine ~configs ~uops profiles =

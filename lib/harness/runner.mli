@@ -4,7 +4,7 @@
 
     {2 Parallel execution}
 
-    {!run_benchmark}, {!run_suite} and {!run_grouped} shard their
+    {!run_suite} and {!run_grouped} shard their
     (profile × simulation-point) work items across OCaml domains
     ([domains], default {!Clusteer_util.Parallel.default_domains}).
     Under the default {!Clusteer_util.Parallel.Static} strategy the
@@ -51,6 +51,24 @@ val salted_trace_seed : salt:int -> Pinpoints.point -> int
     each nonzero salt derives an independent, equally deterministic
     dynamic stream for the same point. The auto-tuner's AB tie-breaks
     replicate measurements over salts [1..n]. *)
+
+type resolve_error =
+  | Unknown_workload
+  | Phase_out_of_range of int  (** carries the workload's phase count *)
+
+val resolve : phase:int -> string -> (Synth.t * int, resolve_error) result
+(** The stream a workload name replays: the workload and its trace
+    seed. A SPEC name (anything {!Clusteer_workloads.Spec2000.find}
+    accepts) resolves to phase [phase]'s workload,
+    [Synth.build point.profile], on [trace_seed point] — exactly what
+    {!run_point} replays for that point. A kernel
+    ({!Clusteer_workloads.Kernels.all}) or adversarial scenario
+    ({!Clusteer_workloads.Adversarial.all}) name resolves to that
+    single-phase workload on seed 1. The CLI's single-workload
+    commands resolve names here, so [simulate], the drift check and
+    the DYN replay never disagree on the stream. An out-of-range
+    [phase] (negative, or beyond the profile's phase count) is
+    [Phase_out_of_range]. *)
 
 val default_warmup : int -> int
 (** Default warmup for a measured budget of [uops] committed
@@ -130,21 +148,6 @@ val map_isolated :
     associative); as long as [f] is deterministic per item, a parallel
     run is bit-identical to a sequential one. This is the primitive
     behind {!run_suite} and the service layer's worker pool. *)
-
-val run_benchmark :
-  ?warmup:int ->
-  ?domains:int ->
-  ?chunk:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
-  ?profiled:bool ->
-  ?params:Clusteer.Configuration.params ->
-  ?trace_salt:int ->
-  machine:Config.t ->
-  configs:Clusteer.Configuration.t list ->
-  uops:int ->
-  Profile.t ->
-  point_result list
-(** All PinPoints phases of one benchmark, sharded across domains. *)
 
 val run_suite :
   ?progress:(string -> unit) ->

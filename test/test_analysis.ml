@@ -425,7 +425,17 @@ let test_cli_usage_errors () =
   check_int "missing workloads exits 2" 2 code
 
 let test_cli_corrupt_annot () =
-  let _, annot = Lazy.force ob_target in
+  (* The CLI checks the program [csteer simulate] replays — the
+     resolver's phase-0 workload — so corrupt that program's
+     annotation. *)
+  let annot =
+    match Clusteer_harness.Runner.resolve ~phase:0 "164.gzip-1" with
+    | Ok (w, _) ->
+        fst
+          (Clusteer.Configuration.prepare Clusteer.Configuration.Ob
+             ~program:w.Synth.program ~likely:w.Synth.likely ~clusters:2 ())
+    | Error _ -> Alcotest.fail "164.gzip-1 does not resolve"
+  in
   let bad = Annot.copy annot in
   let ix =
     find_index "no placed uop found"

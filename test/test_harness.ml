@@ -190,16 +190,16 @@ let test_trace_seed_deterministic () =
 
 let test_runner_benchmark_covers_phases () =
   let results =
-    Harness.Runner.run_benchmark ~machine:Config.default_2c
-      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 tiny_profile
+    Harness.Runner.run_suite ~machine:Config.default_2c
+      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 [ tiny_profile ]
   in
   check_int "one result per phase" tiny_profile.Profile.phases
     (List.length results)
 
 let test_runner_weighted_metric () =
   let results =
-    Harness.Runner.run_benchmark ~machine:Config.default_2c
-      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 tiny_profile
+    Harness.Runner.run_suite ~machine:Config.default_2c
+      ~configs:[ Clusteer.Configuration.Op ] ~uops:1000 [ tiny_profile ]
   in
   let v = Harness.Runner.weighted_metric results ~config:"op" ~f:(fun _ -> 7.0) in
   check_bool "weighted constant" true (abs_float (v -. 7.0) < 1e-9);

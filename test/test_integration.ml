@@ -157,16 +157,24 @@ let test_static_schemes_fill_both_clusters () =
     [ Clusteer.Configuration.Ob; Clusteer.Configuration.Rhop ]
 
 let test_hybrid_api_end_to_end () =
-  (* The Clusteer.Hybrid one-call API produces the same kind of result
-     as the harness pipeline. *)
-  let profile = bench "mesa" in
-  let w = Synth.build profile in
-  let gen = Synth.trace w ~seed:42 in
+  (* The Clusteer.Hybrid halves are exactly what the harness's vc2
+     configuration compiles and steers with, and that configuration
+     runs end to end through the Runner. *)
+  let w = Synth.build (bench "mesa") in
+  let program = w.Synth.program and likely = w.Synth.likely in
+  let annot = Clusteer.Hybrid.compile ~program ~likely ~virtual_clusters:2 () in
+  let vc2 = Clusteer.Configuration.Vc { virtual_clusters = 2 } in
+  let prepared, policy =
+    Clusteer.Configuration.prepare vc2 ~program ~likely ~clusters:2 ()
+  in
+  check_bool "same annotation" true (annot = prepared);
+  check_bool "same policy" true
+    ((Clusteer.Hybrid.policy ~annot ~clusters:2).Policy.name
+    = policy.Policy.name);
   let stats =
-    Clusteer.Hybrid.simulate ~config:Config.default_2c ~virtual_clusters:2
-      ~program:w.Synth.program ~likely:w.Synth.likely
-      ~source:(fun () -> Clusteer_trace.Tracegen.next gen)
-      ~uops:2000 ()
+    List.assoc "vc2"
+      (Harness.Runner.run_workload ~machine:Config.default_2c ~configs:[ vc2 ]
+         ~uops:2000 w)
   in
   check_bool "commits" true
     (stats.Stats.committed >= 2000 && stats.Stats.committed < 2008);
