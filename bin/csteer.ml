@@ -23,6 +23,7 @@ module Spec2000 = Clusteer_workloads.Spec2000
 module Pinpoints = Clusteer_workloads.Pinpoints
 module Synth = Clusteer_workloads.Synth
 module Runner = Clusteer_harness.Runner
+module Check_target = Clusteer_harness.Check_target
 module Experiments = Clusteer_harness.Experiments
 module Serve = Clusteer_serve
 module Topology = Clusteer_topo.Topology
@@ -148,34 +149,27 @@ let topology_arg =
   in
   Arg.(value & opt (some string) None & info [ "topology" ] ~doc ~docv:"NAME")
 
-(* Machine for a cluster count plus an optional --topology override.
-   Fixed-size shapes (meshCxR, hierGxS) set the cluster count
-   themselves; the parametric shapes take it from --clusters. *)
+(* Machine for --clusters plus an optional --topology override,
+   through the library builder the service uses too. *)
 let machine_of ~clusters topology =
-  match topology with
-  | None -> Config.default ~clusters
-  | Some name -> (
-      match Topology.of_name ~clusters name with
-      | Ok topo ->
-          {
-            (Config.default ~clusters:topo.Topology.clusters) with
-            Config.topology = topo;
-          }
-      | Error e ->
-          Printf.eprintf "csteer: %s\n" e;
-          exit 2)
+  match Runner.machine ~clusters topology with
+  | Ok machine -> machine
+  | Error e ->
+      Printf.eprintf "csteer: %s\n" e;
+      exit 2
 
-(* Named workloads outside the SPEC profile table: the hand-written
-   kernels and the adversarial steering scenarios, both explicit
-   single-phase Builder programs. *)
-let synth_workloads () =
-  Clusteer_workloads.Kernels.all @ Clusteer_workloads.Adversarial.all
+(* The names outside the SPEC profile table, for unknown-name hints:
+   the kernels and the adversarial scenarios. *)
+let synth_names () =
+  String.concat ", "
+    (List.map fst
+       (Clusteer_workloads.Kernels.all @ Clusteer_workloads.Adversarial.all))
+
+let try_list = "try `csteer list`"
 
 (* Name (+ phase) -> (workload, trace seed) through the harness's one
    resolver; each command keeps its own exit code and unknown-name
    hint ("" prints none). *)
-let synth_names () = String.concat ", " (List.map fst (synth_workloads ()))
-let try_list = "try `csteer list`"
 
 let resolve_or_exit ~code ~hint ~phase name =
   match Runner.resolve ~phase name with
@@ -248,16 +242,6 @@ let trace_format_conv =
       (match f with Trace_json -> "json" | Trace_csv -> "csv")
   in
   Arg.conv (parse, print)
-
-let energy_json (e : Clusteer_uarch.Energy.breakdown) =
-  Json.Obj
-    [
-      ("total", Json.Float e.Clusteer_uarch.Energy.total);
-      ("per_uop", Json.Float e.Clusteer_uarch.Energy.per_uop);
-      ("static", Json.Float e.Clusteer_uarch.Energy.static_);
-      ("dynamic", Json.Float e.Clusteer_uarch.Energy.dynamic);
-      ("copies", Json.Float e.Clusteer_uarch.Energy.copies);
-    ]
 
 let simulate workload clusters topology config uops phase trace_out
     trace_format stats_interval json_out ledger_dir profile_flag =
@@ -361,7 +345,8 @@ let simulate workload clusters topology config uops phase trace_out
           ("uops", Json.Int uops);
           ("stats", Stats.to_json stats);
           ( "energy",
-            energy_json (Clusteer_uarch.Energy.estimate ~clusters stats) );
+            Clusteer_uarch.Energy.to_json
+              (Clusteer_uarch.Energy.estimate ~clusters stats) );
           ("counters", Obs.Counters.to_json Obs.Counters.default);
           ( "intervals",
             match collector with
@@ -434,9 +419,10 @@ let simulate_cmd =
 let compile workload clusters config emit =
   protect @@ fun () ->
   let w, _ = resolve_or_exit ~code:1 ~hint:"" ~phase:0 workload in
-  let annot, _policy =
-    Clusteer.Configuration.prepare config ~program:w.Synth.program
-      ~likely:w.Synth.likely ~clusters ()
+  let machine = machine_of ~clusters None in
+  let annot =
+    Check_target.annotation ~machine
+      ~params:Clusteer.Configuration.default_params ~annot:None w config
   in
   let n = w.Synth.program.Clusteer_isa.Program.uop_count in
   Printf.printf "%s: %d static micro-ops, scheme %s\n"
@@ -555,13 +541,17 @@ let restrict_annot ~annot_file ~replay ~targets ~configs =
       exit 2
   | _ -> ()
 
-let target_annot ~machine ~params ~annot_file (w : Synth.t) config =
-  match annot_file with
-  | Some path -> Clusteer_isa.Annot_io.load ~path
-  | None ->
-      fst
-        (Clusteer.Configuration.prepare config ~program:w.Synth.program
-           ~likely:w.Synth.likely ~clusters:machine.Config.clusters ~params ())
+(* A malformed --annot file is a one-line diagnostic naming the file,
+   like any other unreadable input. *)
+let load_annot annot_file =
+  Option.map
+    (fun path ->
+      match Clusteer_isa.Annot_io.load ~path with
+      | Ok annot -> annot
+      | Error e ->
+          Printf.eprintf "csteer: %s: %s\n" path e;
+          exit 1)
+    annot_file
 
 (* The DYN and drift replays run exactly the uop stream [simulate -n
    uops] executes — the resolver's seed, [default_warmup uops + uops]
@@ -579,25 +569,9 @@ let replay ~machine ~params ~obs ~uops (w, seed) config =
   in
   (snd (List.hd runs), registry)
 
-let check_one ~machine ~passes ~params ~annot_file ~dynamic ~dynamic_uops
+let check_one ~machine ~passes ~params ~annot ~dynamic ~dynamic_uops
     ((w : Synth.t), seed) config =
-  let clusters = machine.Config.clusters in
-  let program = w.Synth.program and likely = w.Synth.likely in
-  let region_uops = params.Clusteer.Configuration.region_uops in
-  let annot = target_annot ~machine ~params ~annot_file w config in
-  let claimed =
-    if annot.Clusteer_isa.Annot.virtual_clusters > 0 then
-      Some
-        (Clusteer_compiler.Diagnostics.of_annot ~program ~likely ~annot
-           ~region_uops ())
-    else None
-  in
-  let critical =
-    match config with
-    | Clusteer.Configuration.Crit ->
-        Some (Clusteer_compiler.Crit_hints.compute ~program ~likely ~region_uops ())
-    | _ -> None
-  in
+  let annot = Check_target.annotation ~machine ~params ~annot w config in
   let events =
     if dynamic && annot.Clusteer_isa.Annot.virtual_clusters > 0 then begin
       (* Replay the actual policy on the stream [simulate] runs,
@@ -611,22 +585,17 @@ let check_one ~machine ~passes ~params ~annot_file ~dynamic ~dynamic_uops
     end
     else None
   in
-  let label =
-    Printf.sprintf "%s/%s" w.Synth.profile.Profile.name
-      (Clusteer.Configuration.name config)
-  in
   let target =
-    Analysis.Checker.target ~label ~region_uops ?claimed ?critical ?events
-      ~program ~likely ~annot ~config:machine ()
+    Check_target.make ~machine ~params ~annot:(Some annot) ~events w config
   in
   (* The cost model also feeds the text summary's prediction columns;
      recomputing it here is cheap and keeps the pass selection (which
      may exclude "cost") independent of the report format. *)
   let model, _ =
-    Analysis.Cost_model.analyze ~program ~annot
-      ~topology:machine.Config.topology ~clusters ()
+    Analysis.Cost_model.analyze ~program:w.Synth.program ~annot
+      ~topology:machine.Config.topology ~clusters:machine.Config.clusters ()
   in
-  (label, model, Analysis.Checker.run ~passes target)
+  (target.Analysis.Checker.label, model, Analysis.Checker.run ~passes target)
 
 let check all workloads clusters topology policies passes annot_file dynamic
     dynamic_uops region_uops strict json =
@@ -646,12 +615,13 @@ let check all workloads clusters topology policies passes annot_file dynamic
     ~replay:(if dynamic then Some "--dynamic" else None)
     ~targets ~configs;
   let params = { Clusteer.Configuration.default_params with region_uops } in
+  let annot = load_annot annot_file in
   let reports =
     List.concat_map
       (fun target ->
         List.map
-          (check_one ~machine ~passes ~params ~annot_file ~dynamic
-             ~dynamic_uops target)
+          (check_one ~machine ~passes ~params ~annot ~dynamic ~dynamic_uops
+             target)
           configs)
       targets
   in
@@ -746,12 +716,12 @@ let check_cmd =
    findings unless --strict, [analyze] is a report: the LIV/CM infos
    are the point, so they always print. *)
 
-let analyze_one ~machine ~params ~annot_file ~vs_run ~run_uops
+let analyze_one ~machine ~params ~annot ~vs_run ~run_uops
     ~max_copy_rate ~max_imbalance ((w : Synth.t), seed) config =
   let clusters = machine.Config.clusters in
   let topology = machine.Config.topology in
   let program = w.Synth.program in
-  let annot = target_annot ~machine ~params ~annot_file w config in
+  let annot = Check_target.annotation ~machine ~params ~annot w config in
   let liveness = Analysis.Liveness.analyze program in
   let model, corrupt =
     Analysis.Cost_model.analyze ~program ~annot ~topology ~clusters ~liveness
@@ -790,13 +760,14 @@ let analyze all workloads clusters topology policies annot_file region_uops
     ~replay:(if vs_run then Some "--vs-run" else None)
     ~targets ~configs;
   let params = { Clusteer.Configuration.default_params with region_uops } in
+  let annot = load_annot annot_file in
   let started = Unix.gettimeofday () in
   let reports, wall_s, gc =
     Runner.measured (fun () ->
         List.concat_map
           (fun target ->
             List.map
-              (analyze_one ~machine ~params ~annot_file ~vs_run ~run_uops
+              (analyze_one ~machine ~params ~annot ~vs_run ~run_uops
                  ~max_copy_rate ~max_imbalance target)
               configs)
           targets)
@@ -1028,57 +999,48 @@ let vliw_compare workload clusters =
        programs (e.g. adv-flip) take the acyclic per-region path. *)
     Array.length k.Synth.program.Clusteer_isa.Program.blocks = 2
   in
-  match List.assoc_opt workload (synth_workloads ()) with
-  | Some k when single_block_loop k ->
-      (* Kernels are single-block loops: software-pipeline the body. *)
-      let body =
-        k.Clusteer_workloads.Synth.program.Clusteer_isa.Program.blocks.(0)
-          .Clusteer_isa.Block.uops
-      in
-      let g = Clusteer_vliw.Modulo.loop_ddg_of_body body in
-      let n = Array.length body in
-      let local = Array.make n 0 in
-      let spread = Array.init n (fun i -> i mod clusters) in
-      let report name assignment =
-        let r = Clusteer_vliw.Modulo.schedule machine g ~assignment () in
-        Clusteer_vliw.Modulo.validate machine g ~assignment r;
-        Printf.printf "  %-14s II=%d (mii %d), %d moves/iter\n" name
-          r.Clusteer_vliw.Modulo.ii r.Clusteer_vliw.Modulo.mii
-          r.Clusteer_vliw.Modulo.moves
-      in
-      Printf.printf "%s: modulo scheduling on the %d-cluster VLIW\n" workload
-        clusters;
-      report "one-cluster" local;
-      report "round-robin" spread
-  | other ->
-      let w =
-        match other with
-        | Some k -> k
-        | None -> (
-            match Spec2000.find workload with
-            | exception Not_found ->
-                Printf.eprintf "unknown workload %S\n" workload;
-                exit 1
-            | profile -> Synth.build profile)
-      in
-      let program = w.Synth.program and likely = w.Synth.likely in
-      let run name mode =
-        let s = Clusteer_vliw.Eval.run machine ~program ~likely mode in
-        Printf.printf "  %-14s static IPC %.2f  cycles %d  moves %d\n" name
-          s.Clusteer_vliw.Eval.static_ipc s.Clusteer_vliw.Eval.cycles
-          s.Clusteer_vliw.Eval.moves
-      in
-      Printf.printf "%s: acyclic scheduling on the %d-cluster VLIW\n"
-        w.Synth.profile.Profile.name clusters;
-      run "UAS" Clusteer_vliw.Eval.Unified;
-      run "RHOP"
-        (Clusteer_vliw.Eval.Fixed
-           (fun g -> Clusteer_compiler.Rhop.assign_region g ~clusters));
-      run "VC-partition"
-        (Clusteer_vliw.Eval.Fixed
-           (fun g ->
-             Clusteer_compiler.Vc_partition.assign_region g
-               ~virtual_clusters:clusters ()))
+  let w, _ = resolve_or_exit ~code:1 ~hint:"" ~phase:0 workload in
+  if single_block_loop w then begin
+    (* Kernels are single-block loops: software-pipeline the body. *)
+    let body =
+      w.Synth.program.Clusteer_isa.Program.blocks.(0).Clusteer_isa.Block.uops
+    in
+    let g = Clusteer_vliw.Modulo.loop_ddg_of_body body in
+    let n = Array.length body in
+    let local = Array.make n 0 in
+    let spread = Array.init n (fun i -> i mod clusters) in
+    let report name assignment =
+      let r = Clusteer_vliw.Modulo.schedule machine g ~assignment () in
+      Clusteer_vliw.Modulo.validate machine g ~assignment r;
+      Printf.printf "  %-14s II=%d (mii %d), %d moves/iter\n" name
+        r.Clusteer_vliw.Modulo.ii r.Clusteer_vliw.Modulo.mii
+        r.Clusteer_vliw.Modulo.moves
+    in
+    Printf.printf "%s: modulo scheduling on the %d-cluster VLIW\n" workload
+      clusters;
+    report "one-cluster" local;
+    report "round-robin" spread
+  end
+  else begin
+    let program = w.Synth.program and likely = w.Synth.likely in
+    let run name mode =
+      let s = Clusteer_vliw.Eval.run machine ~program ~likely mode in
+      Printf.printf "  %-14s static IPC %.2f  cycles %d  moves %d\n" name
+        s.Clusteer_vliw.Eval.static_ipc s.Clusteer_vliw.Eval.cycles
+        s.Clusteer_vliw.Eval.moves
+    in
+    Printf.printf "%s: acyclic scheduling on the %d-cluster VLIW\n"
+      w.Synth.profile.Profile.name clusters;
+    run "UAS" Clusteer_vliw.Eval.Unified;
+    run "RHOP"
+      (Clusteer_vliw.Eval.Fixed
+         (fun g -> Clusteer_compiler.Rhop.assign_region g ~clusters));
+    run "VC-partition"
+      (Clusteer_vliw.Eval.Fixed
+         (fun g ->
+           Clusteer_compiler.Vc_partition.assign_region g
+             ~virtual_clusters:clusters ()))
+  end
 
 let vliw_cmd =
   Cmd.v
@@ -1105,19 +1067,7 @@ let subset_profiles = function
    any --domains. *)
 let topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy ~profiled
     name =
-  let topo =
-    match Topology.of_name ~clusters:4 name with
-    | Ok t -> t
-    | Error e ->
-        Printf.eprintf "csteer: %s\n" e;
-        exit 2
-  in
-  let machine =
-    {
-      (Config.default ~clusters:topo.Topology.clusters) with
-      Config.topology = topo;
-    }
-  in
+  let machine = machine_of ~clusters:4 (Some name) in
   let clusters = machine.Config.clusters in
   let configs =
     Clusteer.Configuration.Op
@@ -1546,24 +1496,13 @@ let result_of_line line =
 
 let batch socket file deadline_ms results_only =
   protect @@ fun () ->
-  let read_all ic =
-    let rec go acc =
-      match input_line ic with
-      | line -> go (line :: acc)
-      | exception End_of_file -> List.rev acc
-    in
-    go []
+  let raw =
+    if file = "-" then In_channel.input_all stdin
+    else In_channel.with_open_text file In_channel.input_all
   in
   let raw =
-    if file = "-" then read_all stdin
-    else begin
-      let ic = open_in file in
-      let lines = read_all ic in
-      close_in ic;
-      lines
-    end
+    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' raw)
   in
-  let raw = List.filter (fun l -> String.trim l <> "") raw in
   let commands =
     List.mapi
       (fun i line ->
@@ -1654,7 +1593,7 @@ let metrics socket workload clusters config uops phase =
       (* One-shot local dump: run the point under the profiler and
          expose the process registry. *)
       let w, seed = resolve_or_exit ~code:1 ~hint:try_list ~phase workload in
-      let machine = Config.default ~clusters in
+      let machine = machine_of ~clusters None in
       Obs.Counters.reset Obs.Counters.default;
       let prof = Obs.Profile.create () in
       let (_ : (string * Stats.t) list) =

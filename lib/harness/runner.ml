@@ -48,22 +48,61 @@ let salted_trace_seed ~salt (point : Pinpoints.point) =
 
 (* The one place a workload name becomes a replayable stream. A SPEC
    phase resolves to what [run_point] replays for it, so a name means
-   the same stream in every command. *)
+   the same stream in every command. Resolution is split so a caller
+   can check a name and a phase cheaply ([lookup], [select]) and pay
+   for building the workload only when it runs it ([build]). *)
 type resolve_error = Unknown_workload | Phase_out_of_range of int
+type source = Spec of Profile.t | Fixed of Synth.t
+type stream = Point of Pinpoints.point | Whole of Synth.t
 
-let resolve ~phase name =
-  match List.assoc_opt name (Kernels.all @ Adversarial.all) with
-  | Some w -> if phase = 0 then Ok (w, 1) else Error (Phase_out_of_range 1)
+let fixed_workloads = Kernels.all @ Adversarial.all
+
+let lookup name =
+  match List.assoc_opt name fixed_workloads with
+  | Some w -> Ok (Fixed w)
   | None -> (
       match Spec2000.find name with
       | exception Not_found -> Error Unknown_workload
-      | profile ->
-          let points = Pinpoints.points profile in
-          let phases = List.length points in
-          if phase < 0 || phase >= phases then Error (Phase_out_of_range phases)
-          else
-            let point = List.nth points phase in
-            Ok (Synth.build point.Pinpoints.profile, trace_seed point))
+      | profile -> Ok (Spec profile))
+
+let select ~phase = function
+  | Fixed w -> if phase = 0 then Ok (Whole w) else Error (Phase_out_of_range 1)
+  | Spec profile ->
+      let points = Pinpoints.points profile in
+      let phases = List.length points in
+      if phase < 0 || phase >= phases then Error (Phase_out_of_range phases)
+      else Ok (Point (List.nth points phase))
+
+let build = function
+  | Whole w -> (w, 1)
+  | Point point -> (Synth.build point.Pinpoints.profile, trace_seed point)
+
+let resolve ~phase name =
+  Result.map build (Result.bind (lookup name) (select ~phase))
+
+(* Fixed-size fabrics (meshCxR, hierGxS) carry their own cluster
+   count; the parametric ones take [clusters]. Both counts are checked
+   here, so no command hands the engine or a compiler pass a machine
+   the model cannot run. *)
+let machine ~clusters topology =
+  let ( let* ) = Result.bind in
+  let in_range what n =
+    if n >= 1 && n <= Config.max_clusters then Ok n
+    else
+      Error
+        (Printf.sprintf "%s: %d is out of range (1..%d)" what n
+           Config.max_clusters)
+  in
+  let* clusters = in_range "clusters" clusters in
+  match topology with
+  | None -> Ok (Config.default ~clusters)
+  | Some name ->
+      let* topo = Clusteer_topo.Topology.of_name ~clusters name in
+      let* clusters =
+        in_range ("topology " ^ name ^ " clusters")
+          topo.Clusteer_topo.Topology.clusters
+      in
+      Ok { (Config.default ~clusters) with Config.topology = topo }
 
 (* Default warmup: half the measured length, capped — enough to fill
    the L1 and train the predictor at the scaled-down trace sizes — and

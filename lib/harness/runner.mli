@@ -56,19 +56,30 @@ type resolve_error =
   | Unknown_workload
   | Phase_out_of_range of int  (** carries the workload's phase count *)
 
+(** A SPEC profile (its phases derive from it), or a kernel or
+    adversarial scenario (one phase). *)
+type source = Spec of Profile.t | Fixed of Synth.t
+
+(** One phase of a source, not yet built. *)
+type stream = Point of Pinpoints.point | Whole of Synth.t
+
+val lookup : string -> (source, resolve_error) result
+val select : phase:int -> source -> (stream, resolve_error) result
+
+val build : stream -> Synth.t * int
+(** The workload and trace seed: [Synth.build point.profile] on
+    [trace_seed point], as {!run_point} replays it, or a fixed
+    workload on seed 1. [lookup] and [select] build nothing. *)
+
 val resolve : phase:int -> string -> (Synth.t * int, resolve_error) result
-(** The stream a workload name replays: the workload and its trace
-    seed. A SPEC name (anything {!Clusteer_workloads.Spec2000.find}
-    accepts) resolves to phase [phase]'s workload,
-    [Synth.build point.profile], on [trace_seed point] — exactly what
-    {!run_point} replays for that point. A kernel
-    ({!Clusteer_workloads.Kernels.all}) or adversarial scenario
-    ({!Clusteer_workloads.Adversarial.all}) name resolves to that
-    single-phase workload on seed 1. The CLI's single-workload
-    commands resolve names here, so [simulate], the drift check and
-    the DYN replay never disagree on the stream. An out-of-range
-    [phase] (negative, or beyond the profile's phase count) is
-    [Phase_out_of_range]. *)
+(** [build] of [select] of [lookup]: the stream a workload name
+    replays in every CLI command and in the service. *)
+
+val machine : clusters:int -> string option -> (Config.t, string) result
+(** The Table 2 machine for [clusters] and an optional topology name;
+    meshCxR and hierGxS set their own cluster count. [Error] is one
+    line: an unknown topology, or a cluster count outside
+    1..{!Clusteer_uarch.Config.max_clusters}. *)
 
 val default_warmup : int -> int
 (** Default warmup for a measured budget of [uops] committed

@@ -18,9 +18,12 @@ let to_string (a : Annot.t) =
     a.Annot.vc_of;
   Buffer.contents buf
 
-let fail line msg = failwith (Printf.sprintf "Annot_io: line %d: %s" line msg)
+exception Malformed of string
 
-let of_string s =
+let fail line msg =
+  raise (Malformed (Printf.sprintf "Annot_io: line %d: %s" line msg))
+
+let parse s =
   let lines = String.split_on_char '\n' s in
   let lines = List.filter (fun l -> String.trim l <> "") lines in
   match lines with
@@ -42,6 +45,13 @@ let of_string s =
       let vcs = int_field 3 "vcs" vcs_l in
       let uops = int_field 4 "uops" uops_l in
       if uops < 0 || vcs < 0 then fail 3 "negative count";
+      (* Checked before allocating: the header alone must not size an
+         array. *)
+      if List.length rest <> uops then
+        raise
+          (Malformed
+             (Printf.sprintf "Annot_io: expected %d rows, found %d" uops
+                (List.length rest)));
       let annot =
         if vcs > 0 then
           Annot.create_virtual ~scheme ~virtual_clusters:vcs ~uop_count:uops
@@ -70,12 +80,10 @@ let of_string s =
                 | _ -> fail line_no "leader must be 0 or 1")
           | _ -> fail line_no "expected '<id> <vc|-> <0/1> <cluster|->'")
         rest;
-      if List.length rest <> uops then
-        failwith
-          (Printf.sprintf "Annot_io: expected %d rows, found %d" uops
-             (List.length rest));
       annot
-  | _ -> failwith "Annot_io: truncated header"
+  | _ -> raise (Malformed "Annot_io: truncated header")
+
+let of_string s = match parse s with a -> Ok a | exception Malformed m -> Error m
 
 let save ~path a =
   let oc = open_out path in
@@ -84,9 +92,7 @@ let save ~path a =
     (fun () -> output_string oc (to_string a))
 
 let load ~path =
-  let ic = open_in path in
+  let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_string (really_input_string ic len))
+    (fun () -> of_string (really_input_string ic (in_channel_length ic)))

@@ -18,8 +18,11 @@
 
 val save : path:string -> Annot.t -> unit
 
-val load : path:string -> Annot.t
-(** Raises [Failure] with a line-precise message on malformed input. *)
+val load : path:string -> (Annot.t, string) result
+(** [Error] carries a line-precise message on malformed input; an
+    unreadable file raises [Sys_error]. *)
 
 val to_string : Annot.t -> string
-val of_string : string -> Annot.t
+
+val of_string : string -> (Annot.t, string) result
+(** Parse the file form; never raises. *)

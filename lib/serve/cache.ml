@@ -10,8 +10,11 @@ type t = {
   spills : Counters.counter;
 }
 
+let fingerprint = "69660ecacc5d"
+
 (* Hashes are [0-9a-f]{16}, so the path needs no sanitizing. *)
-let spill_path dir hash = Filename.concat dir (hash ^ ".json")
+let spill_path dir hash =
+  Filename.concat dir (Printf.sprintf "%s-%s.json" fingerprint hash)
 
 let ensure_dir dir =
   if not (Sys.file_exists dir) then

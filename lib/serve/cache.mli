@@ -10,9 +10,10 @@
     - an in-memory {!Clusteer_util.Lru} bounded by a byte budget
       (entry cost = key + value bytes);
     - an optional on-disk spill directory: entries evicted from memory
-      are written to [dir/<hash>.json]; a memory miss consults the
-      directory and re-admits the entry on success. The directory is
-      also how a restarted server warm-starts.
+      are written to [dir/<fingerprint>-<hash>.json]; a memory miss
+      consults the directory and re-admits the entry on success. The
+      directory is also how a restarted server warm-starts, from
+      entries the same simulator ({!fingerprint}) wrote.
 
     Instrumentation is registered in the given counter registry:
     [serve.cache.hits] (served from either tier), [serve.cache.disk_hits]
@@ -20,6 +21,11 @@
     [serve.cache.evictions] and [serve.cache.spills]. *)
 
 type t
+
+val fingerprint : string
+(** The first 12 hex digits of the MD5 of the seed goldens
+    ([test/goldens/seed_*.json] in name order); a test keeps the two in
+    step. It keys the disk tier only, not {!Request.hash}. *)
 
 val create :
   ?registry:Clusteer_obs.Counters.registry ->

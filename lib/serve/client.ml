@@ -14,13 +14,7 @@ let call_lines ~socket lines =
       (* Half-close: the server reads until EOF before dispatching the
          batch, then writes its responses back on the same socket. *)
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      let ic = Unix.in_channel_of_descr fd in
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+      Protocol.read_lines (Unix.in_channel_of_descr fd))
 
 let call ~socket commands =
   let replies =

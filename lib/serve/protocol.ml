@@ -48,6 +48,14 @@ let encode_command = function
 
 let ( let* ) = Result.bind
 
+let read_lines ic =
+  let rec go acc =
+    match input_line ic with
+    | line -> go (line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  go []
+
 let parse_command line =
   let* doc = Json.of_string line in
   match Json.member "op" doc with
@@ -71,17 +79,15 @@ let parse_command line =
   | Some (Json.Str op) -> Error (Printf.sprintf "unknown op %S" op)
   | _ -> Error "missing op field"
 
+let encode_result_line ~id ~hash ~cached ~result =
+  Printf.sprintf {|{"id":%d,"status":"ok","hash":%s,"cached":%b,"result":%s}|}
+    id
+    (Json.to_string (Json.Str hash))
+    cached result
+
 let encode_response = function
   | Result { id; hash; cached; result } ->
-      Json.to_string
-        (Json.Obj
-           [
-             ("id", Json.Int id);
-             ("status", Json.Str "ok");
-             ("hash", Json.Str hash);
-             ("cached", Json.Bool cached);
-             ("result", result);
-           ])
+      encode_result_line ~id ~hash ~cached ~result:(Json.to_string result)
   | Rejected { id; reason } ->
       Json.to_string
         (Json.Obj
@@ -113,57 +119,41 @@ let encode_response = function
   | Pong -> {|{"status":"ok","pong":true}|}
   | Bye -> {|{"status":"ok","bye":true}|}
 
-let encode_result_line ~id ~hash ~cached ~result =
-  Printf.sprintf {|{"id":%d,"status":"ok","hash":%s,"cached":%b,"result":%s}|}
-    id
-    (Json.to_string (Json.Str hash))
-    cached result
-
 let parse_response line =
   let* doc = Json.of_string line in
   let id =
     Option.value ~default:0 (Option.bind (Json.member "id" doc) Json.to_int)
   in
-  match Option.bind (Json.member "status" doc) Json.to_str with
-  | Some "ok" -> (
+  let str key ~default =
+    Option.value ~default (Option.bind (Json.member key doc) Json.to_str)
+  in
+  match str "status" ~default:"" with
+  | "ok" -> (
       match Json.member "result" doc with
       | Some result ->
-          let hash =
-            Option.value ~default:""
-              (Option.bind (Json.member "hash" doc) Json.to_str)
-          in
           let cached =
             Option.value ~default:false
               (Option.bind (Json.member "cached" doc) Json.to_bool)
           in
-          Ok (Result { id; hash; cached; result })
+          Ok (Result { id; hash = str "hash" ~default:""; cached; result })
       | None -> (
           match Json.member "stats" doc with
           | Some stats -> Ok (Stats_reply stats)
           | None -> (
-              match
-                Option.bind (Json.member "metrics" doc) Json.to_str
-              with
+              match Option.bind (Json.member "metrics" doc) Json.to_str with
               | Some text -> Ok (Metrics_reply text)
               | None ->
                   if Json.member "pong" doc <> None then Ok Pong
                   else if Json.member "bye" doc <> None then Ok Bye
                   else Error "ok response without payload")))
-  | Some "rejected" -> (
-      match Option.bind (Json.member "reason" doc) Json.to_str with
-      | Some "queue_full" -> Ok (Rejected { id; reason = Queue_full })
-      | Some "timeout" -> Ok (Rejected { id; reason = Timeout })
-      | Some "check_failed" ->
-          let message =
-            Option.value ~default:"request failed validation"
-              (Option.bind (Json.member "message" doc) Json.to_str)
-          in
+  | "rejected" -> (
+      match str "reason" ~default:"" with
+      | "queue_full" -> Ok (Rejected { id; reason = Queue_full })
+      | "timeout" -> Ok (Rejected { id; reason = Timeout })
+      | "check_failed" ->
+          let message = str "message" ~default:"request failed validation" in
           Ok (Rejected { id; reason = Check_failed message })
       | _ -> Error "rejected response without a known reason")
-  | Some "error" ->
-      let message =
-        Option.value ~default:"unknown error"
-          (Option.bind (Json.member "message" doc) Json.to_str)
-      in
-      Ok (Error_reply { id; message })
+  | "error" ->
+      Ok (Error_reply { id; message = str "message" ~default:"unknown error" })
   | _ -> Error "missing status field"

@@ -68,6 +68,9 @@ val parse_command : string -> (command, string) result
 val encode_response : response -> string
 val parse_response : string -> (response, string) result
 
+val read_lines : in_channel -> string list
+(** Every line up to end of input: one side's half of an exchange. *)
+
 val encode_result_line :
   id:int -> hash:string -> cached:bool -> result:string -> string
 (** Like {!encode_response} for [Result], but splices [result] — an

@@ -1,5 +1,6 @@
 module Json = Clusteer_obs.Json
-module Spec2000 = Clusteer_workloads.Spec2000
+module Profile = Clusteer_workloads.Profile
+module Runner = Clusteer_harness.Runner
 
 type overrides = {
   fp_ratio : float option;
@@ -23,12 +24,12 @@ type t = {
 }
 
 (* The short suite names ("mcf") and the paper's trace-point names
-   ("181.mcf") must hash identically, so resolve at construction. An
-   unknown name is kept verbatim; execution rejects it later. *)
+   ("181.mcf") must hash identically, so resolve at construction. Any
+   other name is kept verbatim; resolution rejects it if unknown. *)
 let canonical_workload name =
-  match Spec2000.find name with
-  | profile -> profile.Clusteer_workloads.Profile.name
-  | exception Not_found -> name
+  match Runner.lookup name with
+  | Ok (Runner.Spec profile) -> profile.Profile.name
+  | Ok (Runner.Fixed _) | Error _ -> name
 
 let make ~workload ?(phase = 0) ?(clusters = 2)
     ?(policy = Clusteer.Configuration.Vc { virtual_clusters = 2 })
@@ -44,22 +45,48 @@ let make ~workload ?(phase = 0) ?(clusters = 2)
     overrides;
   }
 
-let apply_overrides (p : Clusteer_workloads.Profile.t) o =
-  let module Profile = Clusteer_workloads.Profile in
-  let p =
-    match o.fp_ratio with
-    | Some v -> { p with Profile.fp_ratio = v }
-    | None -> p
+let apply_overrides (p : Profile.t) o =
+  let v = Option.value in
+  {
+    p with
+    Profile.fp_ratio = v o.fp_ratio ~default:p.Profile.fp_ratio;
+    mem_ratio = v o.mem_ratio ~default:p.Profile.mem_ratio;
+    ilp = v o.ilp ~default:p.Profile.ilp;
+    footprint_kb = v o.footprint_kb ~default:p.Profile.footprint_kb;
+  }
+
+(* ---- resolution -------------------------------------------------- *)
+
+let ( let* ) = Result.bind
+
+(* The harness resolver's cheap half: nothing here builds a program,
+   so a cache hit never pays for one. Overrides apply to a SPEC
+   profile before its phases are derived. *)
+let resolve t =
+  let error = function
+    | Runner.Unknown_workload -> Printf.sprintf "unknown workload %S" t.workload
+    | Runner.Phase_out_of_range n ->
+        Printf.sprintf "workload %s has only %d phases" t.workload n
   in
-  let p =
-    match o.mem_ratio with
-    | Some v -> { p with Profile.mem_ratio = v }
-    | None -> p
+  let* machine = Runner.machine ~clusters:t.clusters None in
+  let* source = Result.map_error error (Runner.lookup t.workload) in
+  let* source =
+    match source with
+    | Runner.Fixed _ when t.overrides <> no_overrides ->
+        Error
+          (Printf.sprintf
+             "overrides: workload %s is a kernel or adversarial scenario, \
+              not a SPEC profile"
+             t.workload)
+    | Runner.Fixed _ -> Ok source
+    | Runner.Spec profile -> (
+        let profile = apply_overrides profile t.overrides in
+        match Profile.validate profile with
+        | () -> Ok (Runner.Spec profile)
+        | exception Invalid_argument m -> Error m)
   in
-  let p = match o.ilp with Some v -> { p with Profile.ilp = v } | None -> p in
-  match o.footprint_kb with
-  | Some v -> { p with Profile.footprint_kb = v }
-  | None -> p
+  let* stream = Result.map_error error (Runner.select ~phase:t.phase source) in
+  Ok (machine, stream)
 
 (* ---- admission check --------------------------------------------- *)
 
@@ -117,8 +144,6 @@ let hash t =
   Printf.sprintf "%016Lx" !h
 
 (* ---- decoding ---------------------------------------------------- *)
-
-let ( let* ) = Result.bind
 
 let decode_float field = function
   | Json.Float f -> Ok (Some f)
@@ -182,26 +207,17 @@ let of_json = function
         | Some _ -> Error "workload: expected a string"
         | None -> Error "workload: required"
       in
+      let int name =
+        decode_int name (Option.value ~default:Json.Null (field name fields))
+      in
       let int_with ~default name =
-        match field name fields with
-        | None -> Ok default
-        | Some v ->
-            let* n = decode_int name v in
-            Ok (Option.value ~default n)
+        Result.map (Option.value ~default) (int name)
       in
       let* phase = int_with ~default:0 "phase" in
       let* clusters = int_with ~default:2 "clusters" in
       let* uops = int_with ~default:20_000 "uops" in
-      let* warmup =
-        match field "warmup" fields with
-        | None -> Ok None
-        | Some v -> decode_int "warmup" v
-      in
-      let* seed =
-        match field "seed" fields with
-        | None -> Ok None
-        | Some v -> decode_int "seed" v
-      in
+      let* warmup = int "warmup" in
+      let* seed = int "seed" in
       let* policy =
         match field "policy" fields with
         | None -> Ok (Clusteer.Configuration.Vc { virtual_clusters = 2 })

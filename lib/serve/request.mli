@@ -32,14 +32,14 @@ type overrides = {
   ilp : int option;
   footprint_kb : int option;
 }
-(** Optional knobs applied over the named profile before simulation-
-    point derivation — the service-side door to scenarios the stock
-    suite does not cover. *)
+(** Optional knobs applied over the named SPEC profile before
+    simulation-point derivation — the service-side door to scenarios
+    the stock suite does not cover. *)
 
 val no_overrides : overrides
 
 type t = {
-  workload : string;  (** full profile name, e.g. ["181.mcf"] *)
+  workload : string;  (** full profile name (["181.mcf"]) or ["dot"] *)
   phase : int;  (** simulation-point index, from 0 *)
   clusters : int;
   policy : Clusteer.Configuration.t;
@@ -60,15 +60,16 @@ val make :
   ?overrides:overrides ->
   unit ->
   t
-(** Defaults: phase 0, 2 clusters, policy [vc2], 20,000 uops. The
-    workload name is canonicalized through
-    {!Clusteer_workloads.Spec2000.find} when it names a known profile
-    and kept verbatim otherwise (execution will then reject it). *)
+(** Defaults: phase 0, 2 clusters, policy [vc2], 20,000 uops. A SPEC
+    name becomes its profile's full name; any other is kept verbatim. *)
 
-val apply_overrides :
-  Clusteer_workloads.Profile.t -> overrides -> Clusteer_workloads.Profile.t
-(** The named profile with the request's overrides applied — shared by
-    the server's resolution step and the admission validator. *)
+val resolve :
+  t -> (Clusteer_uarch.Config.t * Clusteer_harness.Runner.stream, string) result
+(** The machine and the unbuilt stream, through the harness resolver;
+    overrides apply to a SPEC profile before its phases derive. Builds
+    no program. [Error] is one line: unknown workload, phase or
+    clusters out of range, an invalid override, or overrides on a
+    kernel or adversarial name. *)
 
 val check : t -> (unit, string) result
 (** Run the installed admission check (default: accept everything).

@@ -3,10 +3,6 @@ module Counters = Clusteer_obs.Counters
 module Expo = Clusteer_obs.Expo
 module Prof = Clusteer_obs.Profile
 module Ledger = Clusteer_obs.Ledger
-module Profile = Clusteer_workloads.Profile
-module Spec2000 = Clusteer_workloads.Spec2000
-module Pinpoints = Clusteer_workloads.Pinpoints
-module Synth = Clusteer_workloads.Synth
 module Runner = Clusteer_harness.Runner
 module Energy = Clusteer_uarch.Energy
 
@@ -60,58 +56,19 @@ type t = {
   latency_us_h : Counters.histogram;
 }
 
-(* ---- request resolution and execution ---------------------------- *)
-
-let resolve (req : Request.t) =
-  match Spec2000.find req.Request.workload with
-  | exception Not_found ->
-      Error (Printf.sprintf "unknown workload %S" req.Request.workload)
-  | profile -> (
-      match
-        let profile = Request.apply_overrides profile req.Request.overrides in
-        Profile.validate profile;
-        profile
-      with
-      | exception Invalid_argument m -> Error m
-      | profile -> (
-          let points = Pinpoints.points profile in
-          match List.nth_opt points req.Request.phase with
-          | Some point -> Ok point
-          | None ->
-              Error
-                (Printf.sprintf "workload %s has only %d phases"
-                   req.Request.workload (List.length points))))
-
-let energy_json (e : Energy.breakdown) =
-  Json.Obj
-    [
-      ("total", Json.Float e.Energy.total);
-      ("per_uop", Json.Float e.Energy.per_uop);
-      ("static", Json.Float e.Energy.static_);
-      ("dynamic", Json.Float e.Energy.dynamic);
-      ("copies", Json.Float e.Energy.copies);
-    ]
+(* ---- execution --------------------------------------------------- *)
 
 (* Run one admitted request against a private registry. The result
    document is a pure function of the canonical request (PR 2's
    determinism guarantee), which is what makes the cached bytes
    replayable verbatim. *)
-let execute ~registry ?(profiled = false) (req : Request.t)
-    (point : Pinpoints.point) =
-  let machine =
-    Clusteer_uarch.Config.default ~clusters:req.Request.clusters
-  in
+let execute ~registry ?(profiled = false) (req : Request.t) ~machine stream =
   let profile = if profiled then Some (Prof.create ~registry ()) else None in
-  let workload = Synth.build point.Pinpoints.profile in
-  let seed =
-    match req.Request.seed with
-    | Some s -> s
-    | None -> Runner.trace_seed point
-  in
+  let workload, default_seed = Runner.build stream in
+  let seed = Option.value req.Request.seed ~default:default_seed in
   let warmup =
-    match req.Request.warmup with
-    | Some w -> w
-    | None -> Runner.default_warmup req.Request.uops
+    Option.value req.Request.warmup
+      ~default:(Runner.default_warmup req.Request.uops)
   in
   let runs =
     Runner.run_workload ~warmup ~seed ~registry ?profile ~machine
@@ -129,7 +86,8 @@ let execute ~registry ?(profiled = false) (req : Request.t)
       ("seed", Json.Int seed);
       ("stats", Clusteer_uarch.Stats.to_json stats);
       ( "energy",
-        energy_json (Energy.estimate ~clusters:req.Request.clusters stats) );
+        Energy.to_json (Energy.estimate ~clusters:req.Request.clusters stats)
+      );
     ]
 
 (* ---- batch cycle -------------------------------------------------- *)
@@ -137,7 +95,8 @@ let execute ~registry ?(profiled = false) (req : Request.t)
 type job = {
   request : Request.t;
   rhash : string;
-  point : Pinpoints.point;
+  machine : Clusteer_uarch.Config.t;
+  stream : Runner.stream;
   deadline : float option;  (* absolute seconds, epoch scale *)
   arrived : float;
   mutable slots : (int * int) list;
@@ -146,6 +105,12 @@ type job = {
 }
 
 type outcome = O_timeout | O_error of string | O_done of string * float
+
+(* One profiler span around [f], when the server is profiled. *)
+let timed t span f =
+  match t.prof with Some p -> Prof.time (span p) f | None -> f ()
+
+let expired = function Some d -> d <= 0. | None -> false
 
 (* Handle one connection's command lines; returns the response lines
    (one per command, in order), whether shutdown was requested, and
@@ -162,97 +127,76 @@ let handle_batch t lines =
   let jobs = ref [] in
   let inflight : (string, job) Hashtbl.t = Hashtbl.create 8 in
   let shutdown = ref false in
-  (match t.prof with Some p -> Prof.enter p.p_admission | None -> ());
-  List.iteri
-    (fun i line ->
-      match Protocol.parse_command line with
-      | Error m ->
-          Counters.incr t.errors;
-          set i (Protocol.Error_reply { id = 0; message = m })
-      | Ok Protocol.Ping -> set i Protocol.Pong
-      | Ok Protocol.Shutdown ->
-          shutdown := true;
-          set i Protocol.Bye
-      | Ok Protocol.Stats -> stats_slots := i :: !stats_slots
-      | Ok Protocol.Metrics -> metrics_slots := i :: !metrics_slots
-      | Ok (Protocol.Simulate { id; deadline_ms; request }) -> (
-          Counters.incr t.requests;
-          match resolve request with
-          | Error message ->
+  let admit i ~id ~deadline_ms request =
+    let reject reason = set i (Protocol.Rejected { id; reason }) in
+    match Request.resolve request with
+    | Error message ->
+        Counters.incr t.errors;
+        set i (Protocol.Error_reply { id; message })
+    | Ok (machine, stream) -> (
+        let now = Unix.gettimeofday () in
+        let rhash = Request.hash request in
+        match
+          timed t (fun p -> p.p_cache) (fun () -> Cache.find t.cache rhash)
+        with
+        | Some cached ->
+            (* The fast path of the whole subsystem: a repeat request is
+               answered from the table, not re-run — the cached bytes
+               are spliced back verbatim. *)
+            Counters.observe t.latency_us_h 0;
+            responses.(i) <-
+              Protocol.encode_result_line ~id ~hash:rhash ~cached:true
+                ~result:cached
+        | None when expired deadline_ms ->
+            Counters.incr t.rej_timeout;
+            reject Protocol.Timeout
+        | None -> (
+            match Request.check request with
+            | Error message ->
+                (* Admission-time static verification: an ill-formed
+                   request never reaches a worker. *)
+                Counters.incr t.rej_check;
+                reject (Protocol.Check_failed message)
+            | Ok () -> (
+                match Hashtbl.find_opt inflight rhash with
+                | Some job -> job.slots <- job.slots @ [ (i, id) ]
+                | None when Hashtbl.length inflight >= t.cfg.queue_depth ->
+                    Counters.incr t.rej_queue_full;
+                    reject Protocol.Queue_full
+                | None ->
+                    let job =
+                      {
+                        request;
+                        rhash;
+                        machine;
+                        stream;
+                        deadline =
+                          Option.map (fun ms -> now +. (ms /. 1000.)) deadline_ms;
+                        arrived = now;
+                        slots = [ (i, id) ];
+                      }
+                    in
+                    Hashtbl.add inflight rhash job;
+                    jobs := job :: !jobs;
+                    Counters.observe t.queue_depth_h (Hashtbl.length inflight))))
+  in
+  timed t (fun p -> p.p_admission) (fun () ->
+      List.iteri
+        (fun i line ->
+          match Protocol.parse_command line with
+          | Error m ->
               Counters.incr t.errors;
-              set i (Protocol.Error_reply { id; message })
-          | Ok point -> (
-              let now = Unix.gettimeofday () in
-              let rhash = Request.hash request in
-              let lookup =
-                match t.prof with
-                | Some p ->
-                    Prof.time p.p_cache (fun () -> Cache.find t.cache rhash)
-                | None -> Cache.find t.cache rhash
-              in
-              match lookup with
-              | Some cached ->
-                  (* The fast path of the whole subsystem: a repeat
-                     request is answered from the table, not re-run —
-                     the cached bytes are spliced back verbatim. *)
-                  Counters.observe t.latency_us_h 0;
-                  responses.(i) <-
-                    Protocol.encode_result_line ~id ~hash:rhash ~cached:true
-                      ~result:cached
-              | None ->
-                  if (match deadline_ms with Some d -> d <= 0. | None -> false)
-                  then begin
-                    Counters.incr t.rej_timeout;
-                    set i (Protocol.Rejected { id; reason = Protocol.Timeout })
-                  end
-                  else begin
-                    match Request.check request with
-                    | Error message ->
-                        (* Admission-time static verification: an
-                           ill-formed request never reaches a worker. *)
-                        Counters.incr t.rej_check;
-                        set i
-                          (Protocol.Rejected
-                             {
-                               id;
-                               reason = Protocol.Check_failed message;
-                             })
-                    | Ok () -> (
-                    match Hashtbl.find_opt inflight rhash with
-                    | Some job -> job.slots <- job.slots @ [ (i, id) ]
-                    | None ->
-                        if Hashtbl.length inflight >= t.cfg.queue_depth then begin
-                          Counters.incr t.rej_queue_full;
-                          set i
-                            (Protocol.Rejected
-                               { id; reason = Protocol.Queue_full })
-                        end
-                        else begin
-                          let job =
-                            {
-                              request;
-                              rhash;
-                              point;
-                              deadline =
-                                Option.map
-                                  (fun ms -> now +. (ms /. 1000.))
-                                  deadline_ms;
-                              arrived = now;
-                              slots = [ (i, id) ];
-                            }
-                          in
-                          Hashtbl.add inflight rhash job;
-                          jobs := job :: !jobs;
-                          Counters.observe t.queue_depth_h
-                            (Hashtbl.length inflight)
-                        end)
-                  end)))
-    lines;
-  (match t.prof with
-  | Some p ->
-      Prof.leave p.p_admission;
-      Prof.flush p.p_admission
-  | None -> ());
+              set i (Protocol.Error_reply { id = 0; message = m })
+          | Ok Protocol.Ping -> set i Protocol.Pong
+          | Ok Protocol.Shutdown ->
+              shutdown := true;
+              set i Protocol.Bye
+          | Ok Protocol.Stats -> stats_slots := i :: !stats_slots
+          | Ok Protocol.Metrics -> metrics_slots := i :: !metrics_slots
+          | Ok (Protocol.Simulate { id; deadline_ms; request }) ->
+              Counters.incr t.requests;
+              admit i ~id ~deadline_ms request)
+        lines);
   (* Dispatch oldest-deadline-first; deadline-free work runs last, in
      arrival order. *)
   let queue =
@@ -262,12 +206,12 @@ let handle_batch t lines =
         compare (d a.deadline, a.arrived) (d b.deadline, b.arrived))
       (List.rev !jobs)
   in
-  (match t.prof with Some p -> Prof.enter p.p_dispatch | None -> ());
   let outcomes =
     (* Request batches are heterogeneous (arbitrary uops/config mixes)
        and the deadline check is time-of-dispatch, so the dynamic
        stealing schedule is the right fit here; it also preserves the
        per-item registry isolation the serve tests pin. *)
+    timed t (fun p -> p.p_dispatch) @@ fun () ->
     Runner.map_isolated ?domains:t.cfg.domains
       ~strategy:Clusteer_util.Parallel.Steal ~into:t.registry
       (fun ~registry job ->
@@ -277,17 +221,13 @@ let handle_batch t lines =
         | _ -> (
             Counters.incr (Counters.counter ~registry "serve.simulations");
             match
-              execute ~registry ~profiled:t.profiled job.request job.point
+              execute ~registry ~profiled:t.profiled job.request
+                ~machine:job.machine job.stream
             with
             | result -> O_done (Json.to_string result, Unix.gettimeofday ())
             | exception e -> O_error (Printexc.to_string e)))
       queue
   in
-  (match t.prof with
-  | Some p ->
-      Prof.leave p.p_dispatch;
-      Prof.flush p.p_dispatch
-  | None -> ());
   let sim_uops =
     List.fold_left2
       (fun acc job outcome ->
@@ -335,14 +275,6 @@ let handle_batch t lines =
   (Array.to_list responses, !shutdown, sim_uops)
 
 (* ---- socket loop -------------------------------------------------- *)
-
-let read_lines ic =
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  go []
 
 let serve ?(registry = Counters.default) cfg =
   (match Sys.os_type with
@@ -398,7 +330,7 @@ let serve ?(registry = Counters.default) cfg =
     (try
        let ic = Unix.in_channel_of_descr fd in
        let oc = Unix.out_channel_of_descr fd in
-       let lines = read_lines ic in
+       let lines = Protocol.read_lines ic in
        let started = Unix.gettimeofday () in
        let gc0 = Ledger.gc_now () in
        let replies, shutdown, sim_uops = handle_batch t lines in

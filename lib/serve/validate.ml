@@ -1,23 +1,14 @@
-module Profile = Clusteer_workloads.Profile
-module Spec2000 = Clusteer_workloads.Spec2000
-module Synth = Clusteer_workloads.Synth
+module Runner = Clusteer_harness.Runner
+module Check_target = Clusteer_harness.Check_target
 module Checker = Clusteer_analysis.Checker
 module Diag = Clusteer_isa.Diag
 
-(* The verdict depends on exactly these request fields (uops, warmup,
-   seed and phase change the dynamic run, not the static program or
-   its annotation), so memoize on their canonical rendering. *)
+(* The verdict depends on every request field but uops, warmup and
+   seed (they change the dynamic run, not the program or its
+   annotation), so memoize on the canonical bytes without them. *)
 let memo_key (req : Request.t) =
-  let o = req.Request.overrides in
-  let opt_f = function None -> "-" | Some f -> Printf.sprintf "%h" f in
-  let opt_i = function None -> "-" | Some i -> string_of_int i in
-  Printf.sprintf "%s|%s|%d|%s,%s,%s,%s" req.Request.workload
-    (Clusteer.Configuration.name req.Request.policy)
-    req.Request.clusters
-    (opt_f o.Request.fp_ratio)
-    (opt_f o.Request.mem_ratio)
-    (opt_i o.Request.ilp)
-    (opt_i o.Request.footprint_kb)
+  Request.canonical_string
+    { req with Request.uops = 1; warmup = None; seed = None }
 
 let verdicts : (string, (unit, string) result) Hashtbl.t = Hashtbl.create 16
 
@@ -36,43 +27,23 @@ let summarize diags =
       else first
 
 let validate (req : Request.t) =
-  match Spec2000.find req.Request.workload with
-  | exception Not_found -> Ok () (* resolution answers with Error_reply *)
-  | profile -> (
+  match Request.resolve req with
+  | Error _ -> Ok () (* resolution answers with Error_reply *)
+  | Ok (machine, stream) -> (
       match
-        let profile = Request.apply_overrides profile req.Request.overrides in
-        Profile.validate profile;
-        profile
+        let w, _seed = Runner.build stream in
+        Checker.run
+          (Check_target.make ~machine
+             ~params:Clusteer.Configuration.default_params ~annot:None
+             ~events:None w req.Request.policy)
       with
-      | exception Invalid_argument _ -> Ok () (* ditto *)
-      | profile -> (
-          match
-            let w = Synth.build profile in
-            let program = w.Synth.program and likely = w.Synth.likely in
-            let annot, _policy =
-              Clusteer.Configuration.prepare req.Request.policy ~program
-                ~likely ~clusters:req.Request.clusters ()
-            in
-            let config =
-              Clusteer_uarch.Config.default ~clusters:req.Request.clusters
-            in
-            let target =
-              Checker.target
-                ~label:(req.Request.workload ^ "/"
-                       ^ Clusteer.Configuration.name req.Request.policy)
-                ~program ~likely ~annot ~config ()
-            in
-            Checker.run target
-          with
-          | exception e ->
-              Error
-                (Printf.sprintf "compilation failed: %s" (Printexc.to_string e))
-          | diags ->
-              (* The server gates strictly: a warning that a human might
-                 wave through interactively still wastes a worker here. *)
-              if Checker.failed ~strict:true diags then
-                Error (summarize diags)
-              else Ok ()))
+      | exception e ->
+          Error (Printf.sprintf "compilation failed: %s" (Printexc.to_string e))
+      | diags ->
+          (* The server gates strictly: a warning that a human might
+             wave through interactively still wastes a worker here. *)
+          if Checker.failed ~strict:true diags then Error (summarize diags)
+          else Ok ())
 
 let check req =
   let key = memo_key req in

@@ -87,6 +87,8 @@ let default ~clusters =
 let default_2c = default ~clusters:2
 let default_4c = default ~clusters:4
 
+let max_clusters = 16
+
 let validate t =
   let pos name v =
     if v <= 0 then invalid_arg (Printf.sprintf "Config: %s must be positive" name)
@@ -134,7 +136,8 @@ let validate t =
   in
   cache "l1d" t.l1d;
   cache "l2" t.l2;
-  if t.clusters > 16 then invalid_arg "Config: at most 16 clusters"
+  if t.clusters > max_clusters then
+    invalid_arg (Printf.sprintf "Config: at most %d clusters" max_clusters)
 
 let describe t =
   let kb n = Printf.sprintf "%dKB" (n / 1024) in

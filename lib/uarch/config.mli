@@ -85,6 +85,9 @@ val default : clusters:int -> t
 val default_2c : t
 val default_4c : t
 
+val max_clusters : int
+(** The widest machine the model supports: 16 clusters. *)
+
 val validate : t -> unit
 (** Sanity-check all parameters; raises [Invalid_argument]. *)
 

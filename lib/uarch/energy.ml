@@ -58,3 +58,14 @@ let estimate ?costs ~clusters (s : Stats.t) =
     total;
     per_uop = (if s.Stats.committed = 0 then 0.0 else total /. f s.Stats.committed);
   }
+
+let to_json e =
+  let module Json = Clusteer_obs.Json in
+  Json.Obj
+    [
+      ("total", Json.Float e.total);
+      ("per_uop", Json.Float e.per_uop);
+      ("static", Json.Float e.static_);
+      ("dynamic", Json.Float e.dynamic);
+      ("copies", Json.Float e.copies);
+    ]

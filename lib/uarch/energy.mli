@@ -37,3 +37,6 @@ type breakdown = {
 }
 
 val estimate : ?costs:costs -> clusters:int -> Stats.t -> breakdown
+
+val to_json : breakdown -> Clusteer_obs.Json.t
+(** The ["energy"] member of every result document. *)

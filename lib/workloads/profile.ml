@@ -20,7 +20,8 @@ type t = {
 
 let validate t =
   let frac name v =
-    if v < 0.0 || v > 1.0 then
+    (* Written positively so a NaN fails it too. *)
+    if not (v >= 0.0 && v <= 1.0) then
       invalid_arg (Printf.sprintf "Profile %s: %s out of [0,1]" t.name name)
   in
   let pos name v =

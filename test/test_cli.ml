@@ -125,7 +125,11 @@ let test_compile_emit_annotation () =
   check_int "exit 0" 0 code;
   check_bool "reports chains" true (contains out "chains");
   (* The emitted file parses back through the library. *)
-  let a = Clusteer_isa.Annot_io.load ~path:annot in
+  let a =
+    match Clusteer_isa.Annot_io.load ~path:annot with
+    | Ok a -> a
+    | Error m -> Alcotest.fail m
+  in
   Sys.remove annot;
   check_int "two vcs" 2 a.Clusteer_isa.Annot.virtual_clusters
 
@@ -277,6 +281,63 @@ let test_unwritable_paths_diagnose () =
   in
   check_int "runs dir rejected" 1 code
 
+let test_cluster_count_out_of_range () =
+  (* The machine builder answers a bad --clusters with one line and
+     exit 2 in every command that builds a machine. *)
+  List.iter
+    (fun args ->
+      List.iter
+        (fun c ->
+          let code, out = run_capture_all (Printf.sprintf "%s -c %d" args c) in
+          check_int (Printf.sprintf "%s -c %d exits 2" args c) 2 code;
+          check_bool
+            (Printf.sprintf "%s -c %d: one line naming clusters" args c)
+            true
+            (contains out (Printf.sprintf "csteer: clusters: %d is out of range" c)
+            && not (contains out "uncaught exception")))
+        [ 0; 17 ])
+    [
+      "simulate -w gzip-1 -n 500";
+      "check -w gzip-1";
+      "analyze -w gzip-1";
+      "compile -w gzip-1";
+      "metrics -w gzip-1 -n 500";
+    ];
+  (* 16 is the widest machine and still runs. *)
+  let code, _ = run_capture "compile -w gzip-1 -c 16" in
+  check_int "16 clusters accepted" 0 code
+
+let test_malformed_annot_diagnose () =
+  let cases =
+    [
+      ("truncated", "clusteer-annot 1\nscheme vc\n");
+      ("garbled", "clusteer-annot 1\nscheme vc\nvcs 2\nuops 1\n0 x 1 -\n");
+      ("huge", "clusteer-annot 1\nscheme vc\nvcs 2\nuops 99999999999\n");
+      ( "random bytes",
+        String.init 300 (fun i -> Char.chr ((i * 7919 + 13) land 255)) );
+    ]
+  in
+  List.iter
+    (fun (what, text) ->
+      let path = Filename.temp_file "csteer_bad" ".annot" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      List.iter
+        (fun cmd ->
+          let code, out =
+            run_capture_all
+              (Printf.sprintf "%s -w gzip-1 -p vc2 --annot %s" cmd
+                 (Filename.quote path))
+          in
+          check_int (Printf.sprintf "%s %s exits 1" cmd what) 1 code;
+          check_bool
+            (Printf.sprintf "%s %s: diagnostic names the file" cmd what)
+            true
+            (contains out (Printf.sprintf "csteer: %s: Annot_io:" path)
+            && not (contains out "uncaught exception")))
+        [ "check"; "analyze" ])
+    cases
+
 let test_unknown_experiment () =
   let code, _ = run_capture "experiment not-a-figure" in
   check_bool "nonzero exit" true (code <> 0)
@@ -302,5 +363,9 @@ let () =
           Alcotest.test_case "metrics local dump" `Slow test_metrics_local_dump;
           Alcotest.test_case "unwritable paths" `Quick
             test_unwritable_paths_diagnose;
+          Alcotest.test_case "cluster count out of range" `Quick
+            test_cluster_count_out_of_range;
+          Alcotest.test_case "malformed --annot" `Quick
+            test_malformed_annot_diagnose;
         ] );
     ]

@@ -288,12 +288,14 @@ let test_pretty_printers_smoke () =
 
 (* ---- Annot_io --------------------------------------------------------- *)
 
+let parsed = function Ok a -> a | Error m -> Alcotest.fail m
+
 let test_annot_io_roundtrip_virtual () =
   let a = Annot.create_virtual ~scheme:"vc" ~virtual_clusters:2 ~uop_count:4 in
   a.Annot.vc_of.(0) <- 1;
   a.Annot.vc_of.(2) <- 0;
   a.Annot.leader.(0) <- true;
-  let b = Annot_io.of_string (Annot_io.to_string a) in
+  let b = parsed (Annot_io.of_string (Annot_io.to_string a)) in
   Alcotest.(check string) "scheme" a.Annot.scheme b.Annot.scheme;
   check_int "vcs" a.Annot.virtual_clusters b.Annot.virtual_clusters;
   Alcotest.(check (array int)) "vc_of" a.Annot.vc_of b.Annot.vc_of;
@@ -303,7 +305,7 @@ let test_annot_io_roundtrip_virtual () =
 let test_annot_io_roundtrip_static () =
   let a = Annot.create_static ~scheme:"rhop" ~uop_count:3 in
   a.Annot.cluster_of.(1) <- 1;
-  let b = Annot_io.of_string (Annot_io.to_string a) in
+  let b = parsed (Annot_io.of_string (Annot_io.to_string a)) in
   Alcotest.(check (array int)) "cluster_of" a.Annot.cluster_of b.Annot.cluster_of;
   check_int "no vcs" 0 b.Annot.virtual_clusters
 
@@ -313,21 +315,63 @@ let test_annot_io_file_roundtrip () =
   a.Annot.leader.(0) <- true;
   let path = Filename.temp_file "clusteer_annot" ".txt" in
   Annot_io.save ~path a;
-  let b = Annot_io.load ~path in
+  let b = parsed (Annot_io.load ~path) in
   Sys.remove path;
   Alcotest.(check (array int)) "vc_of" a.Annot.vc_of b.Annot.vc_of
 
 let test_annot_io_rejects_garbage () =
-  Alcotest.check_raises "bad magic"
-    (Failure "Annot_io: line 1: bad magic") (fun () ->
-      ignore (Annot_io.of_string "nope\nscheme x\nvcs 0\nuops 0\n"));
-  Alcotest.check_raises "truncated"
-    (Failure "Annot_io: truncated header") (fun () ->
-      ignore (Annot_io.of_string "clusteer-annot 1\n"));
-  Alcotest.check_raises "row count"
-    (Failure "Annot_io: expected 2 rows, found 0") (fun () ->
-      ignore
-        (Annot_io.of_string "clusteer-annot 1\nscheme x\nvcs 0\nuops 2\n"))
+  let rejects what msg text =
+    Alcotest.(check (result unit string))
+      what (Error msg)
+      (Result.map ignore (Annot_io.of_string text))
+  in
+  rejects "bad magic" "Annot_io: line 1: bad magic"
+    "nope\nscheme x\nvcs 0\nuops 0\n";
+  rejects "truncated" "Annot_io: truncated header" "clusteer-annot 1\n";
+  rejects "row count" "Annot_io: expected 2 rows, found 0"
+    "clusteer-annot 1\nscheme x\nvcs 0\nuops 2\n";
+  (* A header's row count alone never sizes an allocation. *)
+  rejects "huge row count" "Annot_io: expected 4611686018427387903 rows, found 0"
+    "clusteer-annot 1\nscheme x\nvcs 1\nuops 4611686018427387903\n"
+
+(* Arbitrary bytes, and valid files with lines dropped, duplicated or
+   with a byte replaced: the parser answers [Ok] or [Error], never an
+   exception. *)
+let prop_annot_io_never_raises =
+  let valid =
+    let a = Annot.create_virtual ~scheme:"vc" ~virtual_clusters:2 ~uop_count:4 in
+    a.Annot.vc_of.(0) <- 1;
+    a.Annot.leader.(0) <- true;
+    a.Annot.cluster_of.(3) <- 1;
+    Annot_io.to_string a
+  in
+  let mutated =
+    QCheck.Gen.(
+      let* edits = list_size (1 -- 4) (triple (0 -- 2) nat char) in
+      return
+        (List.fold_left
+           (fun s (op, at, c) ->
+             let lines = String.split_on_char '\n' s in
+             let k = at mod List.length lines in
+             match op with
+             | 0 -> String.concat "\n" (List.filteri (fun i _ -> i <> k) lines)
+             | 1 ->
+                 String.concat "\n"
+                   (List.concat (List.mapi (fun i l -> if i = k then [ l; l ] else [ l ]) lines))
+             | _ ->
+                 let n = String.length s in
+                 if n = 0 then s
+                 else String.mapi (fun i d -> if i = at mod n then c else d) s)
+           valid edits))
+  in
+  QCheck.Test.make ~name:"parser never raises" ~count:2000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(oneof [ string_size ~gen:char (0 -- 120); mutated ]))
+    (fun text ->
+      match Annot_io.of_string text with
+      | Ok _ | Error _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let () =
   Alcotest.run "clusteer_isa"
@@ -384,6 +428,7 @@ let () =
           Alcotest.test_case "roundtrip static" `Quick test_annot_io_roundtrip_static;
           Alcotest.test_case "file roundtrip" `Quick test_annot_io_file_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_annot_io_rejects_garbage;
+          QCheck_alcotest.to_alcotest prop_annot_io_never_raises;
         ] );
       ( "annot",
         [

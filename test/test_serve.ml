@@ -226,8 +226,9 @@ let test_cache_spill_roundtrip () =
   Serve.Cache.store cache "2222222222222222" v2;
   let value name = Counters.value (Counters.counter ~registry name) in
   check_int "first entry spilled" 1 (value "serve.cache.spills");
-  check_bool "spill file exists" true
-    (Sys.file_exists (Filename.concat dir "1111111111111111.json"));
+  check_bool "spill file exists, named by the simulator fingerprint" true
+    (Sys.file_exists
+       (Filename.concat dir (Serve.Cache.fingerprint ^ "-1111111111111111.json")));
   (* Disk satisfies the miss and promotes back into memory. *)
   Alcotest.(check (option string)) "disk hit" (Some v1)
     (Serve.Cache.find cache "1111111111111111");
@@ -454,6 +455,395 @@ let test_e2e_metrics_scrape () =
   check_bool "quantiles exposed" true
     (contains after "profile_serve_admission_ns_quantile{q=\"0.99\"}")
 
+(* ---- one request path -------------------------------------------- *)
+
+module Runner = Clusteer_harness.Runner
+module Check_target = Clusteer_harness.Check_target
+module Checker = Clusteer_analysis.Checker
+
+(* An in-process server on a fresh socket and registry, one worker;
+   [f] gets the socket path and the registry, and the server is shut
+   down however [f] ends. *)
+let with_server ?cache_dir f =
+  let socket = Filename.temp_file "csteer_inproc" ".sock" in
+  Sys.remove socket;
+  let registry = Counters.create () in
+  let cfg =
+    {
+      (Serve.Server.default_config ~socket_path:socket) with
+      Serve.Server.domains = Some 1;
+      cache_dir;
+    }
+  in
+  let thread = Thread.create (fun () -> Serve.Server.serve ~registry cfg) () in
+  let rec wait n =
+    match Serve.Client.call ~socket [ Protocol.Ping ] with
+    | [ Ok Protocol.Pong ] -> ()
+    | _ | (exception Unix.Unix_error _) ->
+        if n = 0 then Alcotest.fail "in-process server did not start";
+        Unix.sleepf 0.01;
+        wait (n - 1)
+  in
+  wait 1000;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Serve.Client.shutdown ~socket);
+      Thread.join thread)
+    (fun () -> f socket registry)
+
+let submit_line socket request =
+  match
+    Serve.Client.call_lines ~socket
+      [
+        Protocol.encode_command
+          (Protocol.Simulate { id = 1; deadline_ms = None; request });
+      ]
+  with
+  | [ line ] -> line
+  | _ -> Alcotest.fail "expected one reply line"
+
+let vc2 = Clusteer.Configuration.Vc { virtual_clusters = 2 }
+
+let test_served_stats_match_runner () =
+  (* dot reads live-in registers (IR007), so the strict admission gate
+     turns it away exactly as `csteer check --strict` does; this test
+     pins which stream a name replays, so it lets dot past the gate
+     and keeps the real validator for every other name. *)
+  (match Serve.Validate.check (Request.make ~workload:"dot" ~uops:2000 ()) with
+  | Error m -> check_bool "dot trips IR007" true (contains m "IR007")
+  | Ok () -> Alcotest.fail "expected dot to fail the strict gate");
+  with_server @@ fun socket _ ->
+  let saved = !Request.check_hook in
+  Fun.protect ~finally:(fun () -> Request.check_hook := saved) @@ fun () ->
+  Request.check_hook :=
+    (fun r ->
+      if r.Request.workload = "dot" then Ok () else Serve.Validate.check r);
+  let uops = 2000 in
+  List.iter
+    (fun (name, phase) ->
+      let w, seed =
+        match Runner.resolve ~phase name with
+        | Ok r -> r
+        | Error _ -> Alcotest.failf "%s does not resolve" name
+      in
+      let expected =
+        Runner.run_workload ~warmup:(Runner.default_warmup uops) ~seed
+          ~registry:(Counters.create ())
+          ~machine:(Clusteer_uarch.Config.default ~clusters:2)
+          ~configs:[ vc2 ] ~uops w
+        |> List.hd |> snd
+      in
+      let line =
+        submit_line socket
+          (Request.make ~workload:name ~phase ~policy:vc2 ~uops ())
+      in
+      check_bool
+        (Printf.sprintf "%s phase %d: served stats = Runner's" name phase)
+        true
+        (contains line
+           ("\"stats\":"
+           ^ Json.to_string (Clusteer_uarch.Stats.to_json expected))))
+    [ ("gzip-1", 0); ("gzip-1", 1); ("mcf", 0); ("dot", 0); ("adv-storm", 0) ]
+
+let verdict = function Ok () -> "accept" | Error _ -> "reject"
+
+let test_admission_matches_check () =
+  let policies =
+    List.map
+      (fun n ->
+        match Clusteer.Configuration.of_name n with
+        | Ok p -> p
+        | Error (`Msg m) -> Alcotest.fail m)
+      [ "vc2"; "vc200"; "crit" ]
+  in
+  let machine = Clusteer_uarch.Config.default ~clusters:2 in
+  let names =
+    List.map
+      (fun (p : Clusteer_workloads.Profile.t) ->
+        p.Clusteer_workloads.Profile.name)
+      Clusteer_workloads.Spec2000.all
+    @ List.map fst Clusteer_workloads.Adversarial.all
+  in
+  (* Every phase, against the target `csteer check` builds. *)
+  List.iter
+    (fun name ->
+      let rec phases phase =
+        match Runner.resolve ~phase name with
+        | Error _ -> ()
+        | Ok (w, _) ->
+            List.iter
+              (fun policy ->
+                let strict_check =
+                  Checker.failed ~strict:true
+                    (Checker.run
+                       (Check_target.make ~machine
+                          ~params:Clusteer.Configuration.default_params
+                          ~annot:None ~events:None w policy))
+                in
+                Alcotest.(check string)
+                  (Printf.sprintf "%s phase %d %s" name phase
+                     (Clusteer.Configuration.name policy))
+                  (if strict_check then "reject" else "accept")
+                  (verdict
+                     (Serve.Validate.check
+                        (Request.make ~workload:name ~phase ~policy ~uops:2000
+                           ()))))
+              policies;
+            phases (phase + 1)
+      in
+      phases 0)
+    names;
+  (* Phase 0, against the binary's own strict verdict per target. *)
+  let out = Filename.temp_file "csteer_check" ".json" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s check --strict --json -c 2 -p vc2,vc200,crit -w %s > %s"
+         (Filename.quote exe)
+         (Filename.quote (String.concat "," names))
+         (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  check_bool "check ran" true (code = 0 || code = 1);
+  let targets =
+    match Json.of_string (String.trim text) with
+    | Ok doc -> (
+        match Json.member "targets" doc with
+        | Some (Json.List ts) -> ts
+        | _ -> Alcotest.fail "no targets")
+    | Error e -> Alcotest.fail e
+  in
+  let requests =
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun policy -> Request.make ~workload:name ~policy ~uops:2000 ())
+          policies)
+      names
+  in
+  check_int "one report per request" (List.length requests)
+    (List.length targets);
+  List.iter2
+    (fun req target ->
+      let count k =
+        Option.value ~default:0 (Option.bind (Json.member k target) Json.to_int)
+      in
+      Alcotest.(check string)
+        (Request.canonical_string req)
+        (if count "errors" + count "warnings" > 0 then "reject" else "accept")
+        (verdict (Serve.Validate.check req)))
+    requests targets
+
+let test_resolution_errors () =
+  with_server @@ fun socket registry ->
+  let misses () =
+    Counters.value (Counters.counter ~registry "serve.cache.misses")
+  in
+  let error_of request =
+    match Protocol.parse_response (submit_line socket request) with
+    | Ok (Protocol.Error_reply { message; _ }) -> message
+    | Ok _ -> Alcotest.fail "expected an error reply"
+    | Error e -> Alcotest.fail e
+  in
+  let expect what needle request =
+    let m = error_of request in
+    check_bool (Printf.sprintf "%s: %S names %s" what m needle) true
+      (contains m needle)
+  in
+  expect "64 clusters" "clusters: 64"
+    (Request.make ~workload:"mcf" ~clusters:64 ~uops:2000 ());
+  expect "NaN override" "fp_ratio"
+    (Request.make ~workload:"mcf" ~uops:2000
+       ~overrides:{ Request.no_overrides with Request.fp_ratio = Some nan }
+       ());
+  expect "infinite override" "mem_ratio"
+    (Request.make ~workload:"mcf" ~uops:2000
+       ~overrides:
+         { Request.no_overrides with Request.mem_ratio = Some infinity }
+       ());
+  expect "overrides on a kernel" "dot"
+    (Request.make ~workload:"dot" ~uops:2000
+       ~overrides:{ Request.no_overrides with Request.ilp = Some 3 }
+       ());
+  expect "kernel phase" "1 phases"
+    (Request.make ~workload:"adv-storm" ~phase:1 ~uops:2000 ());
+  expect "unknown name" "unknown workload"
+    (Request.make ~workload:"nosuch" ~uops:2000 ());
+  (* Each one is answered before the cache is consulted. *)
+  check_int "no cache lookups" 0 (misses ())
+
+(* ---- disk cache fingerprint ---------------------------------------- *)
+
+let test_fingerprint_tracks_goldens () =
+  let dir = "goldens" in
+  let goldens =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           String.length f > 5
+           && String.sub f 0 5 = "seed_"
+           && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  check_bool "goldens found" true (goldens <> []);
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.map
+               (fun f ->
+                 In_channel.with_open_bin (Filename.concat dir f)
+                   In_channel.input_all)
+               goldens)))
+  in
+  check_string "Cache.fingerprint = digest of the seed goldens (bump it)"
+    (String.sub digest 0 12) Serve.Cache.fingerprint
+
+let test_stale_spill_not_served () =
+  let dir = temp_dir () in
+  Unix.mkdir dir 0o755;
+  let request = Request.make ~workload:"gzip-1" ~uops:1500 () in
+  let planted = {|{"stale":true}|} in
+  (* A spill file in the layout of an older simulator. *)
+  Out_channel.with_open_bin
+    (Filename.concat dir (Request.hash request ^ ".json"))
+    (fun oc -> output_string oc planted);
+  with_server ~cache_dir:dir @@ fun socket _ ->
+  match Protocol.parse_response (submit_line socket request) with
+  | Ok (Protocol.Result { cached; result; _ }) ->
+      check_bool "simulated, not replayed from disk" false cached;
+      check_bool "planted bytes not served" false
+        (Json.to_string result = planted)
+  | Ok _ -> Alcotest.fail "expected a result"
+  | Error e -> Alcotest.fail e
+
+(* ---- fuzzing ------------------------------------------------------ *)
+
+let never_raises f x =
+  match f x with
+  | Ok _ | Error _ -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let gen_json =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let scalar =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) int;
+                 map (fun f -> Json.Float f) float;
+                 map (fun s -> Json.Str s) (string_size ~gen:printable (0 -- 24));
+                 map
+                   (fun s -> Json.Str s)
+                   (oneofl
+                      [ "mcf"; "dot"; "adv-storm"; "vc2"; "f64:7ff8000000000000" ]);
+               ]
+           in
+           let key =
+             oneofl
+               [
+                 "v"; "workload"; "phase"; "clusters"; "policy"; "uops";
+                 "warmup"; "seed"; "overrides"; "fp_ratio"; "mem_ratio"; "ilp";
+                 "footprint_kb"; "op"; "id"; "deadline_ms"; "request"; "x";
+               ]
+           in
+           if n <= 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 4))));
+                 ( 3,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (0 -- 8) (pair key (self (n / 4)))) );
+               ]))
+
+(* Valid lines with bytes flipped, dropped or inserted. *)
+let mutate seeds =
+  QCheck.Gen.(
+    let* line = oneofl seeds in
+    let* edits = list_size (1 -- 4) (triple (0 -- 2) nat char) in
+    return
+      (List.fold_left
+         (fun s (op, at, c) ->
+           let n = String.length s in
+           let at = if n = 0 then 0 else at mod n in
+           match op with
+           | 0 when n > 0 -> String.mapi (fun i d -> if i = at then c else d) s
+           | 1 when n > 0 ->
+               String.sub s 0 at ^ String.sub s (at + 1) (n - at - 1)
+           | _ -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (n - at))
+         line edits))
+
+let command_seeds =
+  List.map Protocol.encode_command
+    [
+      Protocol.Simulate
+        {
+          id = 3;
+          deadline_ms = Some 0.;
+          request =
+            Request.make ~workload:"gzip-1" ~phase:1 ~uops:900 ~seed:5
+              ~overrides:
+                { Request.no_overrides with Request.mem_ratio = Some 0.25 }
+              ();
+        };
+      Protocol.Stats;
+      Protocol.Metrics;
+      Protocol.Ping;
+    ]
+
+let gen_line =
+  QCheck.Gen.(
+    oneof [ string_size ~gen:char (0 -- 80); mutate command_seeds ])
+
+let prop_request_of_json =
+  QCheck.Test.make ~name:"Request.of_json never raises" ~count:2000
+    (QCheck.make ~print:Json.to_string gen_json)
+    (never_raises Request.of_json)
+
+let prop_parse_command =
+  QCheck.Test.make ~name:"Protocol.parse_command never raises" ~count:2000
+    (QCheck.make ~print:String.escaped gen_line)
+    (never_raises Protocol.parse_command)
+
+(* Fuzzed lines that would run work are made harmless first: a simulate
+   command gets an expired deadline (rejected before any simulation),
+   and shutdown is dropped. *)
+let harmless line =
+  let line = String.map (fun c -> if c = '\n' then ' ' else c) line in
+  match Protocol.parse_command line with
+  | Ok Protocol.Shutdown -> None
+  | Ok (Protocol.Simulate { deadline_ms = Some d; _ }) when d <= 0. -> Some line
+  | Ok (Protocol.Simulate s) ->
+      Some
+        (Protocol.encode_command (Protocol.Simulate { s with deadline_ms = Some 0. }))
+  | Ok _ | Error _ -> Some line
+
+let test_fuzzed_batch_keeps_server_alive () =
+  let rand = Random.State.make [| 0x5e12e |] in
+  let lines =
+    List.filter_map harmless
+      (QCheck.Gen.generate ~rand ~n:300 gen_line
+      @ List.map Json.to_string (QCheck.Gen.generate ~rand ~n:100 gen_json))
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  with_server @@ fun socket _ ->
+  let replies = Serve.Client.call_lines ~socket lines in
+  check_int "one reply per line" (List.length lines) (List.length replies);
+  List.iter
+    (fun r ->
+      check_bool "every reply parses" true
+        (Result.is_ok (Protocol.parse_response r)))
+    replies;
+  match Serve.Client.call ~socket [ Protocol.Ping ] with
+  | [ Ok Protocol.Pong ] -> ()
+  | _ -> Alcotest.fail "server stopped answering ping"
+
 let () =
   Alcotest.run "clusteer_serve"
     [
@@ -482,6 +872,25 @@ let () =
         [
           Alcotest.test_case "disk spill round trip" `Quick
             test_cache_spill_roundtrip;
+          Alcotest.test_case "fingerprint tracks the goldens" `Quick
+            test_fingerprint_tracks_goldens;
+          Alcotest.test_case "stale spill not served" `Quick
+            test_stale_spill_not_served;
+        ] );
+      ( "request path",
+        [
+          Alcotest.test_case "served stats = Runner's" `Quick
+            test_served_stats_match_runner;
+          Alcotest.test_case "admission = check --strict" `Slow
+            test_admission_matches_check;
+          Alcotest.test_case "resolution errors" `Quick test_resolution_errors;
+        ] );
+      ( "fuzz",
+        [
+          QCheck_alcotest.to_alcotest prop_request_of_json;
+          QCheck_alcotest.to_alcotest prop_parse_command;
+          Alcotest.test_case "fuzzed batch keeps the server alive" `Quick
+            test_fuzzed_batch_keeps_server_alive;
         ] );
       ( "serve",
         [
