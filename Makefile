@@ -20,8 +20,10 @@ bench:
 
 # Quick machine-checkable slice of the bench harness: the throughput/
 # allocation study only, at reduced trace length. Fails if the BENCH
-# JSON is not produced or a steering policy started allocating on the
-# decision path.
+# JSON is not produced, a steering policy started allocating on the
+# decision path, or a full run (compile + tracegen + engine) of gzip-1,
+# swim or mcf under op or vc2 allocates more than 100 minor words per
+# committed micro-op (the study exits 1 naming the offender).
 # The throughput study enforces the scaling floor (>=1.5x at 2
 # domains, >=3x at 4; exits 1 with a one-line diagnostic on a miss)
 # and records the speedup table in the run ledger at

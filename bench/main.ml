@@ -619,6 +619,11 @@ let minor_words_per_decide policy view duop =
 let required_speedup domains =
   if domains >= 4 then 3.0 else if domains >= 2 then 1.5 else 0.0
 
+(* Flat-allocation budget of the full run path, in minor words per
+   committed micro-op: every (workload, configuration) of the
+   throughput study's allocation probe must stay at or under it. *)
+let engine_words_budget = 100.0
+
 let run_throughput_study () =
   heading "Throughput study: parallel harness + zero-allocation steering";
   let started = Unix.gettimeofday () in
@@ -778,20 +783,47 @@ let run_throughput_study () =
         (name, Obs.Json.Float words))
       policies
   in
-  (* 3. Engine-level allocation per committed micro-op (includes the
-     trace generator — the whole per-uop simulation path). *)
+  (* 3. Allocation per committed micro-op on the whole run path
+     (compile, trace generation, engine), per workload and
+     configuration, against the flat-allocation budget. *)
   let engine_words =
-    let before = Gc.minor_words () in
-    let stats =
-      List.assoc "op"
-        (Runner.run_workload ~seed:1 ~warmup:0 ~machine:Config.default_2c
-           ~configs:[ Clusteer.Configuration.Op ] ~uops:(min uops 20_000)
-           workload)
-    in
-    (Gc.minor_words () -. before) /. float_of_int stats.Stats.committed
+    List.map
+      (fun name ->
+        let workload = Synth.build (Spec2000.find name) in
+        let per_config =
+          List.map
+            (fun (label, config) ->
+              let before = Gc.minor_words () in
+              let stats =
+                snd
+                  (List.hd
+                     (Runner.run_workload ~seed:1 ~warmup:0
+                        ~machine:Config.default_2c ~configs:[ config ]
+                        ~uops:(min uops 20_000) workload))
+              in
+              let words =
+                (Gc.minor_words () -. before)
+                /. float_of_int stats.Stats.committed
+              in
+              Printf.printf
+                "%-12s %22.1f  (%s/%s: compile + tracegen + engine)\n"
+                "full-path" words name label;
+              if words > engine_words_budget then
+                failures :=
+                  Printf.sprintf
+                    "bench-smoke: FAIL %s/%s allocates %.1f minor words/uop > \
+                     budget %.0f"
+                    name label words engine_words_budget
+                  :: !failures;
+              (label, Obs.Json.Float words))
+            [
+              ("op", Clusteer.Configuration.Op);
+              ("vc2", Clusteer.Configuration.Vc { virtual_clusters = 2 });
+            ]
+        in
+        (name, Obs.Json.Obj per_config))
+      [ "gzip-1"; "swim"; "mcf" ]
   in
-  Printf.printf "%-12s %22.1f  (engine + tracegen, op policy)\n" "full-path"
-    engine_words;
   write_bench_json
     [
       ("suite_throughput", Obs.Json.List rows);
@@ -804,7 +836,7 @@ let run_throughput_study () =
             ("4", Obs.Json.Float (required_speedup 4));
           ] );
       ("steering_alloc_words_per_decide", Obs.Json.Obj alloc_fields);
-      ("engine_minor_words_per_uop", Obs.Json.Float engine_words);
+      ("engine_minor_words_per_uop", Obs.Json.Obj engine_words);
     ];
   (* Run-ledger record of the speedup table (CLUSTEER_BENCH_LEDGER=DIR,
      set by `make bench-smoke`): the same durable trail `csteer

@@ -993,6 +993,8 @@ let sweep_cmd =
 (* ---- vliw ------------------------------------------------------------ *)
 
 let vliw_compare workload clusters =
+  (* The cluster range the simulator accepts, checked the same way. *)
+  ignore (machine_of ~clusters None : Config.t);
   let machine = Clusteer_vliw.Machine.default ~clusters in
   let single_block_loop (k : Synth.t) =
     (* body + exit: the shape the modulo scheduler pipelines. Multi-nest
@@ -1054,11 +1056,26 @@ let vliw_cmd =
 
 let progress name = Printf.eprintf "  running %s...\n%!" name
 
+(* --benchmarks NAME,...: SPEC profiles, named as the harness's
+   resolver names them; any other name is a one-line diagnostic and
+   exit 1. *)
 let subset_profiles = function
   | None -> None
   | Some names ->
-      let names = String.split_on_char ',' names in
-      Some (List.map Spec2000.find names)
+      let profile name =
+        match Runner.lookup name with
+        | Ok (Runner.Spec profile) -> profile
+        | Ok (Runner.Fixed _) ->
+            Printf.eprintf
+              "csteer: %S is not a SPEC benchmark (%s)\n" name
+              try_list;
+            exit 1
+        | Error _ ->
+            Printf.eprintf "csteer: unknown workload %S (%s)\n"
+              name try_list;
+            exit 1
+      in
+      Some (List.map profile (String.split_on_char ',' names))
 
 (* The --topology sweep: every built-in workload (the SPEC stand-ins
    plus the adversarial scenarios) on one machine whose interconnect
@@ -1862,15 +1879,7 @@ let tune_run space algo seed max_evals benchmarks clusters uops domains out
     exit 1
   end;
   let workloads =
-    match
-      try subset_profiles benchmarks
-      with Not_found ->
-        Printf.eprintf "csteer: unknown workload in %s\n"
-          (Option.value ~default:"" benchmarks);
-        exit 1
-    with
-    | Some ps -> ps
-    | None -> Spec2000.all
+    Option.value (subset_profiles benchmarks) ~default:Spec2000.all
   in
   let champion_file =
     Option.value champion_file

@@ -48,13 +48,16 @@ let histogram ?(registry = default) name =
       Hashtbl.add registry.histograms_tbl name h;
       h
 
+(* Int-typed clamps: [observe] runs on every steering decision, and
+   the polymorphic [min]/[max] compile to a runtime comparison call. *)
 let bucket_of v =
   (* floor log2 of v+1, clamped to the bucket range. *)
   let rec go x acc = if x <= 1 then acc else go (x lsr 1) (acc + 1) in
-  min (max_buckets - 1) (go (v + 1) 0)
+  let b = go (v + 1) 0 in
+  if b < max_buckets - 1 then b else max_buckets - 1
 
 let observe h v =
-  let v = max 0 v in
+  let v = if v > 0 then v else 0 in
   h.count <- h.count + 1;
   h.sum <- h.sum + v;
   if v > h.max_v then h.max_v <- v;

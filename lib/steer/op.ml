@@ -61,6 +61,9 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
     done;
     !cost_acc
   in
+  (* [i mod n] for 0 <= i < 2n, without the division: the tie-rotated
+     scans below run on every decision. *)
+  let wrap i n = if i >= n then i - n else i in
   let decide view duop =
     let u = duop.Clusteer_trace.Dynuop.suop in
     let queue = Opcode.queue u.Uop.opcode in
@@ -98,7 +101,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
     ncand := 0;
     preferred := -1;
     for k = 0 to clusters - 1 do
-      let c = (rot + k) mod clusters in
+      let c = wrap (rot + k) clusters in
       if votes.(c) = !best_votes then begin
         incr ncand;
         if
@@ -122,7 +125,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
       Counters.incr balance_overrides;
       preferred := -1;
       for k = 0 to clusters - 1 do
-        let c = (rot + k) mod clusters in
+        let c = wrap (rot + k) clusters in
         if
           !preferred = -1
           || view.Policy.inflight c < view.Policy.inflight !preferred
@@ -139,7 +142,7 @@ let make ?(stall_threshold = 36) ?(imbalance_limit = 200) ?registry ?topology
          (stall-over-steer). *)
       best_alt := -1;
       for k = 0 to clusters - 1 do
-        let c = (rot + k) mod clusters in
+        let c = wrap (rot + k) clusters in
         if
           c <> !preferred
           && view.Policy.queue_free c queue >= stall_threshold

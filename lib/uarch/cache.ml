@@ -2,6 +2,7 @@ type t = {
   sets : int;
   ways : int;
   line_shift : int;
+  tag_shift : int;  (* line_shift + log2 sets *)
   tags : int array;  (* sets * ways; -1 = invalid *)
   recency : int array;  (* higher = more recently used *)
   mutable clock : int;
@@ -24,6 +25,7 @@ let create (c : Config.cache) =
     sets;
     ways = c.Config.ways;
     line_shift = log2 c.Config.line_bytes;
+    tag_shift = log2 c.Config.line_bytes + log2 sets;
     tags = Array.make (sets * c.Config.ways) (-1);
     recency = Array.make (sets * c.Config.ways) 0;
     clock = 0;
@@ -34,40 +36,40 @@ let create (c : Config.cache) =
 let sets t = t.sets
 let ways t = t.ways
 
-let locate t addr =
-  let line = addr lsr t.line_shift in
-  let set = line land (t.sets - 1) in
-  let tag = line lsr (log2 t.sets) in
-  (set, tag)
+(* Set and tag are computed separately, and a miss is way [-1]: the
+   lookup path is called for every blocked load every cycle, so it
+   builds no tuple, option or closure. *)
+let set_of t addr = (addr lsr t.line_shift) land (t.sets - 1)
+let tag_of t addr = addr lsr t.tag_shift
 
-let find_way t set tag =
-  let base = set * t.ways in
-  let rec loop w =
-    if w = t.ways then None
-    else if t.tags.(base + w) = tag then Some w
-    else loop (w + 1)
-  in
-  loop 0
+let rec way_from (tags : int array) base ways (tag : int) w =
+  if w = ways then -1
+  else if tags.(base + w) = tag then w
+  else way_from tags base ways tag (w + 1)
+
+let find_way t set tag = way_from t.tags (set * t.ways) t.ways tag 0
 
 let access t ~addr ~write:_ =
-  let set, tag = locate t addr in
+  let set = set_of t addr and tag = tag_of t addr in
   let base = set * t.ways in
   t.clock <- t.clock + 1;
-  match find_way t set tag with
-  | Some w ->
-      t.hits <- t.hits + 1;
-      t.recency.(base + w) <- t.clock;
-      Hit
-  | None ->
-      t.misses <- t.misses + 1;
-      (* Fill into the LRU (or an invalid) way. *)
-      let victim = ref 0 in
-      for w = 1 to t.ways - 1 do
-        if t.recency.(base + w) < t.recency.(base + !victim) then victim := w
-      done;
-      t.tags.(base + !victim) <- tag;
-      t.recency.(base + !victim) <- t.clock;
-      Miss
+  let w = find_way t set tag in
+  if w >= 0 then begin
+    t.hits <- t.hits + 1;
+    t.recency.(base + w) <- t.clock;
+    Hit
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    (* Fill into the LRU (or an invalid) way. *)
+    let victim = ref 0 in
+    for w = 1 to t.ways - 1 do
+      if t.recency.(base + w) < t.recency.(base + !victim) then victim := w
+    done;
+    t.tags.(base + !victim) <- tag;
+    t.recency.(base + !victim) <- t.clock;
+    Miss
+  end
 
 let touch t ~addr =
   let hits = t.hits and misses = t.misses in
@@ -75,9 +77,7 @@ let touch t ~addr =
   t.hits <- hits;
   t.misses <- misses
 
-let probe t ~addr =
-  let set, tag = locate t addr in
-  find_way t set tag <> None
+let probe t ~addr = find_way t (set_of t addr) (tag_of t addr) >= 0
 
 let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);

@@ -1,7 +1,8 @@
 (** Set-associative cache with true-LRU replacement.
 
     Tracks tags only (the reproduction never needs data values). Used
-    for both L1D and L2. *)
+    for both L1D and L2. {!access}, {!probe} and {!touch} allocate
+    nothing. *)
 
 type t
 
@@ -22,6 +23,12 @@ val probe : t -> addr:int -> bool
 val touch : t -> addr:int -> unit
 (** Fill / refresh the line without counting statistics (prefetches
     and warmup are not demand accesses). *)
+
+val way_from : int array -> int -> int -> int -> int -> int
+(** [way_from tags base ways tag w] is the first way at or after [w]
+    of the set stored in [tags.(base) .. tags.(base + ways - 1)] that
+    holds [tag], or [-1]. Shared with {!Tracecache}; allocates
+    nothing. *)
 
 val invalidate_all : t -> unit
 

@@ -2,6 +2,7 @@ open Clusteer_isa
 open Clusteer_trace
 module Bitset = Clusteer_util.Bitset
 module Pqueue = Clusteer_util.Pqueue
+module Readyq = Clusteer_util.Readyq
 module Ring = Clusteer_util.Ring
 module Vec = Clusteer_util.Vec
 module Obs_event = Clusteer_obs.Event
@@ -19,19 +20,36 @@ type inst = {
   cluster : int;  (* where it is queued / executes *)
   queue : Opcode.queue;
   dst_tag : int;  (* -1 = none *)
-  src_tags : int array;
   mutable waiting : int;  (* outstanding operands *)
   mutable completed : bool;
   mutable took_mshr : bool;  (* load in flight past the L1 *)
-  mutable store_waiters : inst list;  (* loads blocked on this store *)
+  mutable store_waiters : int;  (* waiter list of loads blocked on this store *)
   mispredicted : bool;
 }
 
-type event =
-  | Ev_complete of inst
-  | Ev_copy_arrive of inst
+(* Filler for empty waiter-list nodes; never woken. *)
+let no_inst =
+  {
+    iseq = -1;
+    kind = Copy_op { tag = -1; to_cluster = -1 };
+    cluster = 0;
+    queue = Opcode.Copy_queue;
+    dst_tag = -1;
+    waiting = 0;
+    completed = true;
+    took_mshr = false;
+    store_waiters = -1;
+    mispredicted = false;
+  }
 
-type fetch_slot = { duop : Dynuop.t; ready_at : int; misp : bool }
+(* Fetch-queue entries are recycled: the queue holds at most its
+   capacity of slots, so the slot filled [capacity] pushes ago has
+   always been dispatched by the time it is reused. *)
+type fetch_slot = {
+  mutable duop : Dynuop.t;
+  mutable ready_at : int;
+  mutable misp : bool;
+}
 
 (* Self-profiler spans, interned once at creation so the per-cycle
    instrumented path touches no hashtable. *)
@@ -65,6 +83,8 @@ type t = {
   mutable next_iseq : int;
   (* front-end *)
   fetchq : fetch_slot Ring.t;
+  fetch_slots : fetch_slot array;  (* recycled entries, one per queue slot *)
+  mutable fetch_next : int;  (* next entry of [fetch_slots] to fill *)
   mutable fetch_resume : int;  (* no fetch before this cycle; [never] while
                                    a mispredicted branch is unresolved *)
   (* rename: architectural register code -> value tag *)
@@ -73,19 +93,31 @@ type t = {
   tag_loc : Vec.t;  (* cluster mask: where the value is or will be *)
   tag_ready : Vec.t;  (* cluster mask: where the value has been produced *)
   tag_origin : Vec.t;  (* producing cluster *)
-  waiters : (int, inst list ref) Hashtbl.t;  (* (tag, cluster) key *)
+  (* Wakeup lists, int-linked over one node pool: [wait_head] maps a
+     tag to its first node, a store's [store_waiters] holds its own
+     list's first node; node [n] is waiter [wait_inst.(n)], waiting in
+     cluster [wait_cluster.(n)], followed by node [wait_next.(n)] (on
+     the free list, the next free node); -1 ends a list. *)
+  wait_head : Vec.t;
+  mutable wait_inst : inst array;
+  mutable wait_cluster : int array;
+  mutable wait_next : int array;
+  mutable wait_free : int;
   (* back-end *)
   rob : inst Ring.t;
   occupancy : int array array;  (* cluster -> queue index -> used slots *)
   inflight : int array;  (* cluster -> dispatched, not yet completed *)
-  ready_q : inst Pqueue.t array array;  (* cluster -> queue index *)
+  ready_q : inst Readyq.t array array;  (* cluster -> queue index, by iseq *)
   unit_free : int array array;  (* cluster -> fu index -> next free cycle *)
   fabric : Clusteer_topo.Fabric.t;  (* per-link next-free-cycle state *)
   mutable lsq_used : int;
   regs_used : int array array;  (* cluster -> class (0 int, 1 fp) -> live dests *)
   mutable misses_outstanding : int;  (* in-flight L1 misses (MSHR usage) *)
   pending_store : (int, inst) Hashtbl.t;  (* 8-byte-aligned addr -> store *)
-  events : event Pqueue.t;
+  events : inst Pqueue.t;
+      (* keyed by cycle; an op's one event completes it, a copy's first
+         event completes it (frees its copy-queue slot) and its second
+         delivers its value *)
   (* per-cycle port counters *)
   mutable loads_this_cycle : int;
   mutable stores_this_cycle : int;
@@ -95,6 +127,7 @@ type t = {
      cluster pending-copy counts for the copy-queue capacity check *)
   mutable copy_tags : int array;
   copy_extra : int array;
+  per_cluster : int array;  (* dispatches into each cluster this cycle *)
   (* observability: with [None] every emission site is one pattern
      match and constructs nothing — the simulated behaviour and the
      final statistics are bit-identical to an uninstrumented engine *)
@@ -136,6 +169,33 @@ let reg_code cfg_nregs (r : Reg.t) = Reg.encode ~nregs_per_class:cfg_nregs r
 (* The engine supports any register budget; the rename table is sized
    for the largest budget the workloads use. *)
 let max_nregs_per_class = 64
+
+(* Filler for empty fetch-queue entries; never dispatched. *)
+let no_duop =
+  {
+    Dynuop.seq = -1;
+    suop =
+      {
+        Uop.id = -1;
+        opcode = Opcode.Copy;
+        dst = None;
+        srcs = [||];
+        stream = -1;
+        branch_ref = -1;
+      };
+    addr = -1;
+    taken = false;
+  }
+
+(* Initial waiter-node pool; it doubles when exhausted. *)
+let waiter_nodes = 256
+
+(* Thread nodes [from ..] of [next] into one free list. *)
+let chain_free next ~from =
+  let n = Array.length next in
+  for i = from to n - 1 do
+    next.(i) <- (if i + 1 < n then i + 1 else -1)
+  done
 
 (* Initial architectural values live in every cluster: machine state
    that predates the trace is assumed resident everywhere. *)
@@ -199,6 +259,9 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
   let rename = Array.make (2 * max_nregs_per_class) (-1) in
   let all_mask = (Bitset.full clusters :> int) in
   seed_rename ~rename ~tag_loc ~tag_ready ~tag_origin ~all_mask;
+  let fetchq_capacity =
+    config.Config.fetch_width * (config.Config.fetch_to_dispatch + 2)
+  in
   let t =
     {
       cfg = config;
@@ -213,21 +276,32 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
           ~line_uops:config.Config.tc_line_uops ~ways:config.Config.tc_ways;
       cycle = 0;
       next_iseq = 0;
-      fetchq =
-        Ring.create
-          ~capacity:
-            (config.Config.fetch_width * (config.Config.fetch_to_dispatch + 2));
+      fetchq = Ring.create ~capacity:fetchq_capacity;
+      fetch_slots =
+        Array.init fetchq_capacity (fun _ ->
+            { duop = no_duop; ready_at = 0; misp = false });
+      fetch_next = 0;
       fetch_resume = 0;
       rename;
       tag_loc;
       tag_ready;
       tag_origin;
-      waiters = Hashtbl.create 1024;
+      wait_head = Vec.create ~initial:1024 ~default:(-1) ();
+      wait_inst = Array.make waiter_nodes no_inst;
+      wait_cluster = Array.make waiter_nodes (-1);
+      wait_next =
+        (let next = Array.make waiter_nodes (-1) in
+         chain_free next ~from:0;
+         next);
+      wait_free = 0;
       rob = Ring.create ~capacity:config.Config.rob_size;
       occupancy = Array.init clusters (fun _ -> Array.make 3 0);
       inflight = Array.make clusters 0;
       ready_q =
-        Array.init clusters (fun _ -> Array.init 3 (fun _ -> Pqueue.create ()));
+        Array.init clusters (fun _ ->
+            Array.map
+              (fun q -> Readyq.create ~capacity:(queue_size config q))
+              [| Opcode.Int_queue; Opcode.Fp_queue; Opcode.Copy_queue |]);
       unit_free = Array.init clusters (fun _ -> Array.make 4 0);
       fabric = Clusteer_topo.Fabric.create config.Config.topology;
       lsq_used = 0;
@@ -239,6 +313,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       stores_this_cycle = 0;
       copy_tags = Array.make 8 (-1);
       copy_extra = Array.make clusters 0;
+      per_cluster = Array.make clusters 0;
       obs;
       copyq_depth_hist = Obs_counters.histogram ?registry "engine.copyq_depth";
       prof =
@@ -283,6 +358,8 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.cycle <- 0;
   t.next_iseq <- 0;
   Ring.clear t.fetchq;
+  Array.iter (fun slot -> slot.duop <- no_duop) t.fetch_slots;
+  t.fetch_next <- 0;
   t.fetch_resume <- 0;
   Vec.clear t.tag_loc;
   Vec.clear t.tag_ready;
@@ -290,11 +367,15 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   let all_mask = (Bitset.full t.cfg.Config.clusters :> int) in
   seed_rename ~rename:t.rename ~tag_loc:t.tag_loc ~tag_ready:t.tag_ready
     ~tag_origin:t.tag_origin ~all_mask;
-  Hashtbl.reset t.waiters;
+  Vec.clear t.wait_head;
+  Array.fill t.wait_inst 0 (Array.length t.wait_inst) no_inst;
+  Array.fill t.wait_cluster 0 (Array.length t.wait_cluster) (-1);
+  chain_free t.wait_next ~from:0;
+  t.wait_free <- 0;
   Ring.clear t.rob;
   Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.occupancy;
   Array.fill t.inflight 0 (Array.length t.inflight) 0;
-  Array.iter (fun qs -> Array.iter Pqueue.clear qs) t.ready_q;
+  Array.iter (fun qs -> Array.iter Readyq.clear qs) t.ready_q;
   Array.iter (fun a -> Array.fill a 0 (Array.length a) 0) t.unit_free;
   Clusteer_topo.Fabric.reset t.fabric;
   t.lsq_used <- 0;
@@ -320,30 +401,74 @@ let now t = t.stats.Stats.cycles + 1
 
 (* ---- tag / wakeup machinery ------------------------------------- *)
 
-let waiter_key t tag cluster = (tag * t.cfg.Config.clusters) + cluster
-
 let enqueue_ready t inst =
-  Pqueue.add t.ready_q.(inst.cluster).(queue_index inst.queue) inst.iseq inst
+  Readyq.insert t.ready_q.(inst.cluster).(queue_index inst.queue) inst.iseq inst
+
+(* Prepend [inst], waiting in [cluster], to the list starting at node
+   [head]; returns the new head. *)
+let push_waiter t head inst cluster =
+  if t.wait_free < 0 then begin
+    let n = Array.length t.wait_next in
+    let grow a filler =
+      let b = Array.make (2 * n) filler in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.wait_inst <- grow t.wait_inst no_inst;
+    t.wait_cluster <- grow t.wait_cluster (-1);
+    t.wait_next <- grow t.wait_next (-1);
+    chain_free t.wait_next ~from:n;
+    t.wait_free <- n
+  end;
+  let node = t.wait_free in
+  t.wait_free <- t.wait_next.(node);
+  t.wait_inst.(node) <- inst;
+  t.wait_cluster.(node) <- cluster;
+  t.wait_next.(node) <- head;
+  node
+
+(* Return [node] to the free list and give back its waiter. *)
+let release t node =
+  let inst = t.wait_inst.(node) in
+  t.wait_inst.(node) <- no_inst;
+  t.wait_next.(node) <- t.wait_free;
+  t.wait_free <- node;
+  inst
 
 let add_waiter t inst tag cluster =
   inst.waiting <- inst.waiting + 1;
-  let key = waiter_key t tag cluster in
-  match Hashtbl.find_opt t.waiters key with
-  | Some l -> l := inst :: !l
-  | None -> Hashtbl.add t.waiters key (ref [ inst ])
+  Vec.set t.wait_head tag (push_waiter t (Vec.get t.wait_head tag) inst cluster)
 
 let wake inst t =
   inst.waiting <- inst.waiting - 1;
   if inst.waiting = 0 then enqueue_ready t inst
 
+(* Wake every waiter on the list starting at [node]. *)
+let rec wake_list t node =
+  if node >= 0 then begin
+    let next = t.wait_next.(node) in
+    wake (release t node) t;
+    wake_list t next
+  end
+
+(* Wake the waiters on [tag] in [cluster], unlinking them; [prev] is
+   the last node kept (-1 while none is). Waiters in other clusters
+   stay listed until the value reaches them. *)
+let rec wake_in t tag cluster prev node =
+  if node >= 0 then begin
+    let next = t.wait_next.(node) in
+    if t.wait_cluster.(node) = cluster then begin
+      if prev < 0 then Vec.set t.wait_head tag next
+      else t.wait_next.(prev) <- next;
+      wake (release t node) t;
+      wake_in t tag cluster prev next
+    end
+    else wake_in t tag cluster node next
+  end
+
 let broadcast t tag cluster =
   Vec.set t.tag_ready tag (Vec.get t.tag_ready tag lor (1 lsl cluster));
-  let key = waiter_key t tag cluster in
-  match Hashtbl.find_opt t.waiters key with
-  | Some l ->
-      Hashtbl.remove t.waiters key;
-      List.iter (fun inst -> wake inst t) !l
-  | None -> ()
+  wake_in t tag cluster (-1) (Vec.get t.wait_head tag)
 
 let tag_ready_in t tag cluster = Vec.get t.tag_ready tag land (1 lsl cluster) <> 0
 let tag_located_in t tag cluster = Vec.get t.tag_loc tag land (1 lsl cluster) <> 0
@@ -369,8 +494,9 @@ let on_complete t inst =
       let u = duop.Dynuop.suop in
       (match u.Uop.opcode with
       | Opcode.Store ->
-          List.iter (fun load -> wake load t) inst.store_waiters;
-          inst.store_waiters <- []
+          let head = inst.store_waiters in
+          inst.store_waiters <- -1;
+          wake_list t head
       | Opcode.Branch ->
           if inst.mispredicted then begin
             t.fetch_resume <- t.cycle + t.cfg.Config.redirect_penalty;
@@ -392,14 +518,17 @@ let on_copy_arrive t inst =
       broadcast t tag to_cluster
   | Op _ -> assert false
 
+(* Drain every event due this cycle, one at a time in (cycle, insertion)
+   order. Neither handler adds an event, so nothing joins the heap
+   while it drains. A copy's completion is scheduled before its
+   arrival and never later, so its first event is the completion. *)
 let process_events t =
-  let due = Pqueue.pop_while t.events (fun cyc -> cyc <= t.cycle) in
-  List.iter
-    (fun (_, ev) ->
-      match ev with
-      | Ev_complete inst -> on_complete t inst
-      | Ev_copy_arrive inst -> on_copy_arrive t inst)
-    due
+  while
+    (not (Pqueue.is_empty t.events)) && Pqueue.top_prio t.events <= t.cycle
+  do
+    let inst = Pqueue.take t.events in
+    if inst.completed then on_copy_arrive t inst else on_complete t inst
+  done
 
 (* ---- commit ------------------------------------------------------ *)
 
@@ -415,56 +544,55 @@ let commit t =
   let int_budget = ref t.cfg.Config.commit_class_width in
   let fp_budget = ref t.cfg.Config.commit_class_width in
   let continue_ = ref true in
-  while !continue_ && !budget > 0 do
-    match Ring.peek t.rob with
-    | Some inst when inst.completed -> (
-        match inst.kind with
-        | Op duop ->
-            let u = duop.Dynuop.suop in
-            let class_budget = if is_fp_class u then fp_budget else int_budget in
-            let is_store =
-              match u.Uop.opcode with Opcode.Store -> true | _ -> false
-            in
-            if !class_budget <= 0 then continue_ := false
-            else if is_store && t.stores_this_cycle >= t.cfg.Config.l1_write_ports
-            then continue_ := false
-            else begin
-              decr class_budget;
-              ignore (Ring.pop t.rob);
-              if is_store then begin
-                t.stores_this_cycle <- t.stores_this_cycle + 1;
-                Memsys.store t.memsys ~addr:duop.Dynuop.addr;
-                let key = duop.Dynuop.addr land lnot 7 in
-                (match Hashtbl.find_opt t.pending_store key with
-                | Some s when s == inst -> Hashtbl.remove t.pending_store key
-                | Some _ | None -> ())
-              end;
-              if Uop.is_mem u then t.lsq_used <- t.lsq_used - 1;
-              (match u.Uop.dst with
-              | Some dst ->
-                  let k =
-                    match dst.Reg.cls with
-                    | Reg.Int_class -> 0
-                    | Reg.Fp_class -> 1
-                  in
-                  t.regs_used.(inst.cluster).(k) <-
-                    t.regs_used.(inst.cluster).(k) - 1
-              | None -> ());
-              t.stats.Stats.committed <- t.stats.Stats.committed + 1;
-              (match t.obs with
-              | None -> ()
-              | Some s ->
-                  s.Obs_sink.emit
-                    (Obs_event.Commit
-                       {
-                         cycle = now t;
-                         iseq = inst.iseq;
-                         cluster = inst.cluster;
-                       }));
-              decr budget
-            end
-        | Copy_op _ -> assert false)
-    | Some _ | None -> continue_ := false
+  while !continue_ && !budget > 0 && not (Ring.is_empty t.rob) do
+    let inst = Ring.top t.rob in
+    if not inst.completed then continue_ := false
+    else
+      match inst.kind with
+      | Op duop ->
+          let u = duop.Dynuop.suop in
+          let fp = is_fp_class u in
+          let is_store =
+            match u.Uop.opcode with Opcode.Store -> true | _ -> false
+          in
+          if (if fp then !fp_budget else !int_budget) <= 0 then
+            continue_ := false
+          else if is_store && t.stores_this_cycle >= t.cfg.Config.l1_write_ports
+          then continue_ := false
+          else begin
+            if fp then decr fp_budget else decr int_budget;
+            Ring.drop t.rob;
+            if is_store then begin
+              t.stores_this_cycle <- t.stores_this_cycle + 1;
+              Memsys.store t.memsys ~addr:duop.Dynuop.addr;
+              let key = duop.Dynuop.addr land lnot 7 in
+              match Hashtbl.find t.pending_store key with
+              | s when s == inst -> Hashtbl.remove t.pending_store key
+              | _ | (exception Not_found) -> ()
+            end;
+            if Uop.is_mem u then t.lsq_used <- t.lsq_used - 1;
+            (match u.Uop.dst with
+            | Some dst ->
+                let k =
+                  match dst.Reg.cls with Reg.Int_class -> 0 | Reg.Fp_class -> 1
+                in
+                t.regs_used.(inst.cluster).(k) <-
+                  t.regs_used.(inst.cluster).(k) - 1
+            | None -> ());
+            t.stats.Stats.committed <- t.stats.Stats.committed + 1;
+            (match t.obs with
+            | None -> ()
+            | Some s ->
+                s.Obs_sink.emit
+                  (Obs_event.Commit
+                     {
+                       cycle = now t;
+                       iseq = inst.iseq;
+                       cluster = inst.cluster;
+                     }));
+            decr budget
+          end
+      | Copy_op _ -> assert false
   done
 
 (* ---- issue ------------------------------------------------------- *)
@@ -507,10 +635,12 @@ let try_start t inst =
             s.Obs_sink.emit
               (Obs_event.Link_transfer
                  { cycle = now t; from_cluster = from; to_cluster; latency }));
-        Pqueue.add t.events (t.cycle + latency) (Ev_copy_arrive inst);
         (* The copy has left the copy queue; completion frees the
-           in-flight counter. *)
-        Pqueue.add t.events (t.cycle + 1) (Ev_complete inst);
+           in-flight counter. Every route takes at least one cycle, so
+           completion is never due after arrival, and on a tie it pops
+           first (FIFO): [process_events] relies on that order. *)
+        Pqueue.add t.events (t.cycle + 1) inst;
+        Pqueue.add t.events (t.cycle + latency) inst;
         true
       end
   | Op duop ->
@@ -546,28 +676,21 @@ let try_start t inst =
           let lat = exec_latency t inst in
           if not (Opcode.pipelined op) then
             t.unit_free.(inst.cluster).(fu) <- t.cycle + lat;
-          Pqueue.add t.events (t.cycle + lat) (Ev_complete inst);
+          Pqueue.add t.events (t.cycle + lat) inst;
           true
         end
       end
 
+(* Oldest-first select in place: blocked instructions keep their slot
+   (and their age rank) for the next cycle. Exact against a heap select
+   because ready-queue keys are unique iseqs and [try_start] never makes
+   another instruction ready. *)
 let issue_queue t cluster qidx queue =
-  let width = queue_width t.cfg queue in
-  let q = t.ready_q.(cluster).(qidx) in
-  let blocked = ref [] in
-  let started = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !started < width do
-    match Pqueue.pop q with
-    | None -> continue_ := false
-    | Some (_, inst) ->
-        if try_start t inst then begin
-          t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - 1;
-          incr started
-        end
-        else blocked := inst :: !blocked
-  done;
-  List.iter (fun inst -> Pqueue.add q inst.iseq inst) !blocked
+  let started =
+    Readyq.select t.ready_q.(cluster).(qidx) ~width:(queue_width t.cfg queue)
+      try_start t
+  in
+  t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - started
 
 let issue t =
   for c = 0 to t.cfg.Config.clusters - 1 do
@@ -629,11 +752,10 @@ let insert_copy t tag ~to_cluster =
       cluster = from;
       queue = Opcode.Copy_queue;
       dst_tag = -1;
-      src_tags = [| tag |];
       waiting = 0;
       completed = false;
       took_mshr = false;
-      store_waiters = [];
+      store_waiters = -1;
       mispredicted = false;
     }
   in
@@ -658,7 +780,7 @@ let insert_copy t tag ~to_cluster =
   if tag_ready_in t tag from then enqueue_ready t inst
   else add_waiter t inst tag from
 
-let dispatch_one t (slot : fetch_slot) ~per_cluster =
+let dispatch_one t (slot : fetch_slot) =
   let duop = slot.duop in
   let u = duop.Dynuop.suop in
   (* Structural preconditions outside the clusters. *)
@@ -687,7 +809,7 @@ let dispatch_one t (slot : fetch_slot) ~per_cluster =
                    cluster;
                    inflight = Array.copy t.inflight;
                  }));
-        if per_cluster.(cluster) >= t.cfg.Config.dispatch_per_cluster then
+        if t.per_cluster.(cluster) >= t.cfg.Config.dispatch_per_cluster then
           Blk_width
         else
         let qidx = queue_index (Opcode.queue u.Uop.opcode) in
@@ -729,20 +851,9 @@ let dispatch_one t (slot : fetch_slot) ~per_cluster =
             for i = 0 to needed - 1 do
               insert_copy t t.copy_tags.(i) ~to_cluster:cluster
             done;
-            (* Rename sources (wait for readiness in [cluster]). *)
-            let src_tags =
-              Array.map
-                (fun src -> t.rename.(reg_code max_nregs_per_class src))
-                u.Uop.srcs
-            in
             let dst_tag =
               match u.Uop.dst with
-              | Some dst ->
-                  let tag = new_tag t ~cluster in
-                  t.rename.(reg_code max_nregs_per_class dst) <- tag;
-                  let k = reg_class_of dst in
-                  t.regs_used.(cluster).(k) <- t.regs_used.(cluster).(k) + 1;
-                  tag
+              | Some _ -> new_tag t ~cluster
               | None -> -1
             in
             let inst =
@@ -752,19 +863,27 @@ let dispatch_one t (slot : fetch_slot) ~per_cluster =
                 cluster;
                 queue = Opcode.queue u.Uop.opcode;
                 dst_tag;
-                src_tags;
                 waiting = 0;
                 completed = false;
                 took_mshr = false;
-                store_waiters = [];
+                store_waiters = -1;
                 mispredicted = slot.misp;
               }
             in
-            Array.iter
-              (fun tag ->
-                if not (tag_ready_in t tag cluster) then
-                  add_waiter t inst tag cluster)
-              src_tags;
+            (* Rename sources (wait for readiness in [cluster]) before
+               the destination, which may be one of them. *)
+            let srcs = u.Uop.srcs in
+            for i = 0 to Array.length srcs - 1 do
+              let tag = t.rename.(reg_code max_nregs_per_class srcs.(i)) in
+              if not (tag_ready_in t tag cluster) then
+                add_waiter t inst tag cluster
+            done;
+            (match u.Uop.dst with
+            | Some dst ->
+                t.rename.(reg_code max_nregs_per_class dst) <- dst_tag;
+                let k = reg_class_of dst in
+                t.regs_used.(cluster).(k) <- t.regs_used.(cluster).(k) + 1
+            | None -> ());
             (* Memory bookkeeping: LSQ slot, store table, store-to-load
                dependences through the unified LSQ (exact 8-byte
                disambiguation; forwarding needs no inter-cluster copy). *)
@@ -777,16 +896,17 @@ let dispatch_one t (slot : fetch_slot) ~per_cluster =
                   t.stats.Stats.stores <- t.stats.Stats.stores + 1
               | Opcode.Load ->
                   t.stats.Stats.loads <- t.stats.Stats.loads + 1;
-                  (match Hashtbl.find_opt t.pending_store key with
-                  | Some store when not store.completed ->
+                  (match Hashtbl.find t.pending_store key with
+                  | store when not store.completed ->
                       inst.waiting <- inst.waiting + 1;
-                      store.store_waiters <- inst :: store.store_waiters
-                  | Some _ | None -> ())
+                      store.store_waiters <-
+                        push_waiter t store.store_waiters inst cluster
+                  | _ | (exception Not_found) -> ())
               | _ -> ()
             end;
             t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) + 1;
             t.inflight.(cluster) <- t.inflight.(cluster) + 1;
-            per_cluster.(cluster) <- per_cluster.(cluster) + 1;
+            t.per_cluster.(cluster) <- t.per_cluster.(cluster) + 1;
             let pushed = Ring.push t.rob inst in
             assert pushed;
             t.stats.Stats.dispatched <- t.stats.Stats.dispatched + 1;
@@ -813,23 +933,22 @@ let dispatch t =
   let budget = ref t.cfg.Config.dispatch_width in
   (* "3+3": the steer stage can deliver at most [dispatch_per_cluster]
      micro-ops into any one cluster per cycle. *)
-  let per_cluster = Array.make t.cfg.Config.clusters 0 in
+  Array.fill t.per_cluster 0 (Array.length t.per_cluster) 0;
   let block = ref Blk_none in
   let width_exhausted = ref false in
   while (not !width_exhausted) && !block = Blk_none && !budget > 0 do
-    match Ring.peek t.fetchq with
-    | Some slot when slot.ready_at <= t.cycle -> (
-        match dispatch_one t slot ~per_cluster with
-        | Blk_none -> (
-            match Ring.pop t.fetchq with
-            | Some _ -> decr budget
-            | None -> assert false)
-        | Blk_width ->
-            (* width limit of the target cluster's steer port, not an
-               allocation stall *)
-            width_exhausted := true
-        | blk -> block := blk)
-    | Some _ | None -> block := Blk_empty
+    if Ring.is_empty t.fetchq || (Ring.top t.fetchq).ready_at > t.cycle then
+      block := Blk_empty
+    else
+      match dispatch_one t (Ring.top t.fetchq) with
+      | Blk_none ->
+          Ring.drop t.fetchq;
+          decr budget
+      | Blk_width ->
+          (* width limit of the target cluster's steer port, not an
+             allocation stall *)
+          width_exhausted := true
+      | blk -> block := blk
   done;
   (* Attribute at most one stall reason per cycle, and only when the
      dispatch stage did not fill its full width. *)
@@ -891,9 +1010,11 @@ let fetch t ~source =
       if tc_hit then t.stats.Stats.tc_hits <- t.stats.Stats.tc_hits + 1
       else t.stats.Stats.tc_misses <- t.stats.Stats.tc_misses + 1;
       let tc_extra = if tc_hit then 0 else t.cfg.Config.tc_miss_penalty in
-      let slot =
-        { duop; ready_at = t.cycle + tc_extra + t.frontend_depth; misp }
-      in
+      let slot = t.fetch_slots.(t.fetch_next) in
+      t.fetch_next <- (t.fetch_next + 1) mod Array.length t.fetch_slots;
+      slot.duop <- duop;
+      slot.ready_at <- t.cycle + tc_extra + t.frontend_depth;
+      slot.misp <- misp;
       let pushed = Ring.push t.fetchq slot in
       assert pushed;
       decr budget;

@@ -35,21 +35,22 @@ let lookup t ~static_id =
   let tag = line lsr 0 in
   let base = set * t.ways in
   t.clock <- t.clock + 1;
-  let rec find w = if w = t.ways then None else if t.tags.(base + w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w ->
-      t.hits <- t.hits + 1;
-      t.recency.(base + w) <- t.clock;
-      true
-  | None ->
-      t.misses <- t.misses + 1;
-      let victim = ref 0 in
-      for w = 1 to t.ways - 1 do
-        if t.recency.(base + w) < t.recency.(base + !victim) then victim := w
-      done;
-      t.tags.(base + !victim) <- tag;
-      t.recency.(base + !victim) <- t.clock;
-      false
+  let w = Cache.way_from t.tags base t.ways tag 0 in
+  if w >= 0 then begin
+    t.hits <- t.hits + 1;
+    t.recency.(base + w) <- t.clock;
+    true
+  end
+  else begin
+    t.misses <- t.misses + 1;
+    let victim = ref 0 in
+    for w = 1 to t.ways - 1 do
+      if t.recency.(base + w) < t.recency.(base + !victim) then victim := w
+    done;
+    t.tags.(base + !victim) <- tag;
+    t.recency.(base + !victim) <- t.clock;
+    false
+  end
 
 let hits t = t.hits
 let misses t = t.misses

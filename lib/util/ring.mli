@@ -2,7 +2,8 @@
 
     Models hardware queues with a hard size (reorder buffers, issue
     queue candidate latches, fetch buffers): pushes fail when full,
-    entries pop in order. *)
+    entries pop in order. {!push}, {!top} and {!drop} allocate
+    nothing; {!peek} and {!pop} box their result in an option. *)
 
 type 'a t
 
@@ -23,6 +24,13 @@ val peek : 'a t -> 'a option
 
 val pop : 'a t -> 'a option
 (** Remove and return the oldest entry. *)
+
+val top : 'a t -> 'a
+(** Oldest entry, without removing it; raises [Invalid_argument] when
+    empty. *)
+
+val drop : 'a t -> unit
+(** Remove the oldest entry; raises [Invalid_argument] when empty. *)
 
 val get : 'a t -> int -> 'a
 (** [get t i] is the [i]-th oldest entry; raises [Invalid_argument] when

@@ -302,10 +302,33 @@ let test_cluster_count_out_of_range () =
       "analyze -w gzip-1";
       "compile -w gzip-1";
       "metrics -w gzip-1 -n 500";
+      "vliw -w daxpy";
     ];
   (* 16 is the widest machine and still runs. *)
   let code, _ = run_capture "compile -w gzip-1 -c 16" in
   check_int "16 clusters accepted" 0 code
+
+let test_unknown_benchmark_diagnose () =
+  (* --benchmarks names go through the harness's resolver: an unknown
+     name, or a kernel where a SPEC profile is needed, is one line and
+     exit 1 in both commands that take the list. *)
+  List.iter
+    (fun (args, expect) ->
+      let code, out = run_capture_all args in
+      check_int (args ^ " exits 1") 1 code;
+      check_bool (args ^ ": one diagnostic line") true
+        (contains out expect
+        && (not (contains out "uncaught exception"))
+        && List.length (String.split_on_char '\n' (String.trim out)) = 1))
+    [
+      ("experiment fig5 --benchmarks nosuch", "csteer: unknown workload \"nosuch\"");
+      ( "experiment fig5 --benchmarks gzip-1,nosuch -n 200",
+        "csteer: unknown workload \"nosuch\"" );
+      ( "experiment fig5 --benchmarks dot",
+        "csteer: \"dot\" is not a SPEC benchmark" );
+      ( "tune run --space op -w gzip --max-evals 1 -n 200 --out nosuch-tune",
+        "csteer: unknown workload \"gzip\"" );
+    ]
 
 let test_malformed_annot_diagnose () =
   let cases =
@@ -367,5 +390,7 @@ let () =
             test_cluster_count_out_of_range;
           Alcotest.test_case "malformed --annot" `Quick
             test_malformed_annot_diagnose;
+          Alcotest.test_case "unknown --benchmarks name" `Quick
+            test_unknown_benchmark_diagnose;
         ] );
     ]

@@ -90,6 +90,35 @@ let test_cache_power_of_two_required () =
         (Cache.create
            { Config.size_bytes = 192; ways = 1; line_bytes = 64; hit_latency = 1 }))
 
+(* Minor-heap words [f] allocates; [f] is built before the first
+   reading, so only its body counts. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* The lookup path runs for every blocked load every cycle: it must
+   build no tuple, option or closure. *)
+let test_cache_lookups_allocate_nothing () =
+  let cfg = Config.default ~clusters:2 in
+  let c = Cache.create cfg.Config.l1d and m = Memsys.create cfg in
+  let check what f =
+    Alcotest.(check (float 0.0)) (what ^ ": 0 minor words") 0.0
+      (minor_words_during f)
+  in
+  check "Cache.probe" (fun () ->
+      for i = 0 to 9_999 do
+        ignore (Cache.probe c ~addr:(i * 4160) : bool)
+      done);
+  check "Cache.access" (fun () ->
+      for i = 0 to 9_999 do
+        ignore (Cache.access c ~addr:(i * 4160) ~write:(i land 1 = 0) : Cache.outcome)
+      done);
+  check "Memsys.l1_resident" (fun () ->
+      for i = 0 to 9_999 do
+        ignore (Memsys.l1_resident m ~addr:(i * 4160) : bool)
+      done)
+
 (* ---- Tracecache ----------------------------------------------------------- *)
 
 let test_tracecache_hits_after_fill () =
@@ -696,6 +725,8 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
           Alcotest.test_case "touch" `Quick test_cache_touch_no_stats;
           Alcotest.test_case "power of two" `Quick test_cache_power_of_two_required;
+          Alcotest.test_case "lookups allocate nothing" `Quick
+            test_cache_lookups_allocate_nothing;
         ] );
       ( "tracecache",
         [

@@ -220,6 +220,142 @@ let prop_pqueue_sorted =
       let out = drain [] in
       out = List.sort compare prios)
 
+(* Minor-heap words [f] allocates; [f] is built before the first
+   reading, so only its body counts. *)
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_pqueue_steady_state_no_alloc () =
+  let vals = Array.init 64 string_of_int in
+  let q = Pqueue.create () in
+  Array.iteri (fun i v -> Pqueue.add q (i * 7 mod 13) v) vals;
+  (* Reach the steady capacity: the loop below holds 65 at its peak. *)
+  Pqueue.add q 0 vals.(0);
+  ignore (Pqueue.take q : string);
+  let words =
+    minor_words_during (fun () ->
+        for i = 0 to 9_999 do
+          Pqueue.add q (i mod 17) vals.(i land 63);
+          if Pqueue.top_prio q >= 0 then ignore (Pqueue.take q : string)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "add + take: 0 minor words" 0.0 words;
+  check_int "size kept" 64 (Pqueue.length q)
+
+(* ---- Readyq -------------------------------------------------------- *)
+
+(* Entries oldest-first, read by a select that starts nothing; the
+   tests store each key as its own value. *)
+let readyq_keys q =
+  let keys = ref [] in
+  let started =
+    Readyq.select q ~width:max_int
+      (fun () k ->
+        keys := k :: !keys;
+        false)
+      ()
+  in
+  assert (started = 0);
+  List.rev !keys
+
+let test_readyq_age_order () =
+  let q = Readyq.create ~capacity:5 in
+  List.iter (fun k -> Readyq.insert q k k) [ 5; 1; 9; 3; 7 ];
+  Alcotest.(check (list int)) "oldest first" [ 1; 3; 5; 7; 9 ] (readyq_keys q);
+  Alcotest.check_raises "full" (Invalid_argument "Readyq.insert: full")
+    (fun () -> Readyq.insert q 11 11);
+  let started = ref [] in
+  let n =
+    Readyq.select q ~width:2
+      (fun () k ->
+        let ok = k <> 3 in
+        if ok then started := k :: !started;
+        ok)
+      ()
+  in
+  check_int "width reached" 2 n;
+  Alcotest.(check (list int)) "started oldest-first" [ 1; 5 ] (List.rev !started);
+  Alcotest.(check (list int)) "blocked keeps its rank" [ 3; 7; 9 ] (readyq_keys q);
+  Readyq.clear q;
+  check_bool "cleared" true (Readyq.is_empty q)
+
+(* The select a heap-backed issue queue performs: pop in priority
+   order, start what can start, set the rest aside, stop at [width]
+   starts, push the set-aside entries back. *)
+let heap_select q ~width blocked =
+  let started = ref [] and aside = ref [] and n = ref 0 in
+  let continue_ = ref true in
+  while !continue_ && !n < width do
+    match Pqueue.pop q with
+    | None -> continue_ := false
+    | Some (k, v) ->
+        if blocked v then aside := (k, v) :: !aside
+        else begin
+          started := v :: !started;
+          incr n
+        end
+  done;
+  List.iter (fun (k, v) -> Pqueue.add q k v) !aside;
+  List.rev !started
+
+let prop_readyq_matches_heap_select =
+  QCheck.Test.make ~name:"readyq select = heap pop/try/re-push select"
+    ~count:300
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(1 -- 12)
+           (pair (list_of_size Gen.(0 -- 10) (int_bound 200)) (int_range 0 4))))
+    (fun (salt, rounds) ->
+      (* At most 12 rounds of 10 arrivals are ever ready at once. *)
+      let heap = Pqueue.create () and ready = Readyq.create ~capacity:120 in
+      let seen = Hashtbl.create 64 in
+      List.for_all
+        (fun (arrivals, width) ->
+          (* Unique keys, as instruction sequence numbers are; arrivals
+             come in any age order, like wakeups. *)
+          List.iter
+            (fun k ->
+              if not (Hashtbl.mem seen k) then begin
+                Hashtbl.add seen k ();
+                Pqueue.add heap k k;
+                Readyq.insert ready k k
+              end)
+            arrivals;
+          let blocked k = Hashtbl.hash (salt, Hashtbl.length seen, k) land 1 = 0 in
+          let expect = heap_select heap ~width blocked in
+          let got = ref [] in
+          let n =
+            Readyq.select ready ~width
+              (fun () k ->
+                let ok = not (blocked k) in
+                if ok then got := k :: !got;
+                ok)
+              ()
+          in
+          let rest =
+            List.map snd (Pqueue.pop_while heap (fun _ -> true))
+          in
+          List.iter (fun k -> Pqueue.add heap k k) rest;
+          expect = List.rev !got
+          && n = List.length expect
+          && rest = readyq_keys ready)
+        rounds)
+
+let test_readyq_steady_state_no_alloc () =
+  let vals = Array.init 64 string_of_int in
+  let q = Readyq.create ~capacity:64 in
+  let words =
+    minor_words_during (fun () ->
+        for i = 0 to 9_999 do
+          Readyq.insert q ((i * 37) land 1023) vals.(i land 63);
+          if Readyq.length q >= 48 then
+            ignore (Readyq.select q ~width:2 (fun () _ -> true) ())
+        done)
+  in
+  Alcotest.(check (float 0.0)) "insert + select: 0 minor words" 0.0 words
+
 (* ---- Ring ---------------------------------------------------------- *)
 
 let test_ring_fifo () =
@@ -692,6 +828,15 @@ let () =
           Alcotest.test_case "pop_while" `Quick test_pqueue_pop_while;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           qc prop_pqueue_sorted;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_pqueue_steady_state_no_alloc;
+        ] );
+      ( "readyq",
+        [
+          Alcotest.test_case "age order" `Quick test_readyq_age_order;
+          qc prop_readyq_matches_heap_select;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_readyq_steady_state_no_alloc;
         ] );
       ( "ring",
         [
