@@ -210,6 +210,15 @@ fmt:
 # telemetry.
 smoke: build test check fmt bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke
 	dune exec examples/quickstart.exe
+	@set -e; \
+	csteer=_build/default/bin/csteer.exe; d=_build/parallel-smoke; \
+	rm -rf $$d && mkdir -p $$d; \
+	for n in 1 2; do \
+	  $$csteer experiment fig5 --benchmarks gzip-1,swim -n 2000 \
+	    --domains $$n > $$d/domains$$n.txt 2> $$d/domains$$n.log; \
+	done; \
+	cmp $$d/domains1.txt $$d/domains2.txt; \
+	echo "parallel sweep: --domains 1 = --domains 2 ($$d)"
 	dune exec bin/csteer.exe -- simulate -w mcf -n 10000 \
 	  --trace-out _build/smoke_trace.json --trace-format json \
 	  --stats-interval 1000

@@ -709,7 +709,7 @@ let run_throughput_study () =
   in
   let r2 = row ~strategy:Clusteer_util.Parallel.Static ~domains:2 (measure 2) in
   let r4 = row ~strategy:Clusteer_util.Parallel.Static ~domains:4 (measure 4) in
-  (* Comparison row: the opt-in stealing schedule at the widest domain
+  (* Comparison row: the stealing schedule at the widest domain
      count, so the ledger records what the dynamic cursor costs (or
      buys) on this host. Never threshold-checked. *)
   let rsteal =

@@ -924,57 +924,52 @@ let stats_cmd =
 
 let sweep workload uops out =
   protect @@ fun () ->
-  match Spec2000.find workload with
-  | exception Not_found ->
-      Printf.eprintf "unknown workload %S\n" workload;
-      exit 1
-  | profile ->
-      let point = List.hd (Pinpoints.points profile) in
-      let configs =
-        [
-          Clusteer.Configuration.Op;
-          Clusteer.Configuration.One_cluster;
-          Clusteer.Configuration.Ob;
-          Clusteer.Configuration.Rhop;
-          Clusteer.Configuration.Vc { virtual_clusters = 2 };
-          Clusteer.Configuration.Mod_n { n = 3 };
-          Clusteer.Configuration.Dep;
-          Clusteer.Configuration.Crit;
-          Clusteer.Configuration.Thermal;
-        ]
-      in
-      let rows = ref [] in
-      List.iter
-        (fun clusters ->
-          let machine = Config.default ~clusters in
-          let result = Runner.run_point ~machine ~configs ~uops point in
-          List.iter
-            (fun (name, (stats : Stats.t)) ->
-              rows :=
-                [
-                  string_of_int clusters;
-                  name;
-                  string_of_int stats.Stats.cycles;
-                  Printf.sprintf "%.4f" (Stats.ipc stats);
-                  string_of_int stats.Stats.copies_generated;
-                  string_of_int (Stats.allocation_stalls stats);
-                ]
-                :: !rows)
-            result.Runner.runs)
-        [ 2; 4; 8 ];
-      let header =
-        [ "clusters"; "config"; "cycles"; "ipc"; "copies"; "alloc_stalls" ]
-      in
-      let rows = List.rev !rows in
-      (match out with
-      | Some path ->
-          Clusteer_util.Csv.write ~path ~header rows;
-          Printf.printf "wrote %s (%d rows)\n" path (List.length rows)
-      | None ->
-          print_string
-            (Clusteer_util.Table.render
-               ~header:(Array.of_list header)
-               (List.map Array.of_list rows)))
+  let w, seed =
+    resolve_or_exit ~code:1 ~phase:0 workload
+      ~hint:(try_list ^ "; kernels/adversarial: " ^ synth_names ())
+  in
+  let configs =
+    [
+      Clusteer.Configuration.Op;
+      Clusteer.Configuration.One_cluster;
+      Clusteer.Configuration.Ob;
+      Clusteer.Configuration.Rhop;
+      Clusteer.Configuration.Vc { virtual_clusters = 2 };
+      Clusteer.Configuration.Mod_n { n = 3 };
+      Clusteer.Configuration.Dep;
+      Clusteer.Configuration.Crit;
+      Clusteer.Configuration.Thermal;
+    ]
+  in
+  let rows =
+    List.concat_map
+      (fun clusters ->
+        let machine = Config.default ~clusters in
+        List.map
+          (fun (name, (stats : Stats.t)) ->
+            [
+              string_of_int clusters;
+              name;
+              string_of_int stats.Stats.cycles;
+              Printf.sprintf "%.4f" (Stats.ipc stats);
+              string_of_int stats.Stats.copies_generated;
+              string_of_int (Stats.allocation_stalls stats);
+            ])
+          (Runner.run_workload ~seed ~machine ~configs ~uops w))
+      [ 2; 4; 8 ]
+  in
+  let header =
+    [ "clusters"; "config"; "cycles"; "ipc"; "copies"; "alloc_stalls" ]
+  in
+  match out with
+  | Some path ->
+      Clusteer_util.Csv.write ~path ~header rows;
+      Printf.printf "wrote %s (%d rows)\n" path (List.length rows)
+  | None ->
+      print_string
+        (Clusteer_util.Table.render
+           ~header:(Array.of_list header)
+           (List.map Array.of_list rows))
 
 let sweep_cmd =
   let out =
@@ -986,8 +981,8 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
-         "Sweep one simulation point over 2/4/8 clusters and every steering \
-          configuration")
+         "Sweep one workload (a SPEC name means its first simulation point) \
+          over 2/4/8 clusters and every steering configuration")
     Term.(const sweep $ workload_arg $ uops_arg 10_000 $ out)
 
 (* ---- vliw ------------------------------------------------------------ *)
@@ -1082,8 +1077,7 @@ let subset_profiles = function
    is the named topology, under OP and the VC schemes — a per-fabric
    view of copy traffic, copy-queue stalls and IPC. Deterministic for
    any --domains. *)
-let topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy ~profiled
-    name =
+let topology_sweep ~record_sweep ~uops ~profiles ~domains ~profiled name =
   let machine = machine_of ~clusters:4 (Some name) in
   let clusters = machine.Config.clusters in
   let configs =
@@ -1097,8 +1091,8 @@ let topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy ~profiled
   let grouped, adv =
     record_sweep (fun () ->
         let grouped =
-          Runner.run_grouped ~machine ~configs ~uops ?domains ~strategy
-            ~profiled ~progress
+          Runner.run_grouped ~machine ~configs ~uops ?domains ~profiled
+            ~progress
             (Option.value profiles ~default:Spec2000.all)
         in
         let adv =
@@ -1157,13 +1151,9 @@ let topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy ~profiled
          [| "workload"; "config"; "ipc"; "copies/kuop"; "copy_stall%"; "links/kuop" |]
        (spec_rows @ adv_rows))
 
-let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
-    =
+let experiment which topology uops benchmarks csv_dir domains ledger_dir =
   protect @@ fun () ->
   let profiles = subset_profiles benchmarks in
-  let strategy =
-    if steal then Clusteer_util.Parallel.Steal else Clusteer_util.Parallel.Static
-  in
   let label =
     match (which, topology) with
     | Some w, _ -> w
@@ -1202,8 +1192,7 @@ let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
   in
   match (which, topology) with
   | None, Some name ->
-      topology_sweep ~record_sweep ~uops ~profiles ~domains ~strategy
-        ~profiled name
+      topology_sweep ~record_sweep ~uops ~profiles ~domains ~profiled name
   | Some w, Some _ ->
       Printf.eprintf
         "csteer: --topology is its own sweep; drop the %S argument\n" w;
@@ -1222,7 +1211,7 @@ let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
       let run =
         record_sweep (fun () ->
             Experiments.run_2cluster ~uops ?profiles ~progress ?domains
-              ~strategy ~profiled ())
+              ~profiled ())
       in
       if which <> "fig6" then begin
         let fig5 = Experiments.figure5_of run in
@@ -1248,7 +1237,7 @@ let experiment which topology uops benchmarks csv_dir domains steal ledger_dir
       let run =
         record_sweep (fun () ->
             Experiments.run_4cluster ~uops ?profiles ~progress ?domains
-              ~strategy ~profiled ())
+              ~profiled ())
       in
       let fig7 = Experiments.figure7_of run in
       Experiments.print_slowdown_figure
@@ -1293,15 +1282,6 @@ let experiment_cmd =
     let doc = "Directory for CSV export of the figure data." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~doc)
   in
-  let steal =
-    let doc =
-      "Distribute simulation points dynamically (atomic-cursor work \
-       stealing) instead of the default pre-partitioned shared-nothing \
-       shards. Results are bit-identical either way; the static default \
-       is faster on this uniform workload."
-    in
-    Arg.(value & flag & info [ "steal" ] ~doc)
-  in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:
@@ -1309,7 +1289,7 @@ let experiment_cmd =
           workload over an interconnect topology with $(b,--topology)")
     Term.(
       const experiment $ which $ topology $ uops_arg 20_000 $ benchmarks $ csv
-      $ domains_arg $ steal $ ledger_arg)
+      $ domains_arg $ ledger_arg)
 
 (* ---- serve / submit / batch ---------------------------------------- *)
 

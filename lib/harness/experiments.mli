@@ -20,32 +20,28 @@ val run_2cluster :
   ?profiles:Profile.t list ->
   ?progress:(string -> unit) ->
   ?domains:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   unit ->
   suite_run
 (** The Figure 5/6 sweep: 2-cluster machine, configurations OP /
     one-cluster / OB / RHOP / VC(2). Default 20k micro-ops per point
-    over the full 40-point suite. [profiled] attaches a per-shard
+    over the full 40-point suite. [profiled] attaches a per-worker
     pipeline self-profiler so the merged registry carries
     [profile.engine.*.ns] phase timings (see
-    {!Clusteer_obs.Profile}). [strategy] selects the work-distribution
-    mode (default {!Clusteer_util.Parallel.Static}, the shared-nothing
-    sharding; see {!Runner}). *)
+    {!Clusteer_obs.Profile}). *)
 
 val run_4cluster :
   ?uops:int ->
   ?profiles:Profile.t list ->
   ?progress:(string -> unit) ->
   ?domains:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   unit ->
   suite_run
 (** The Figure 7 sweep: 4-cluster machine, OP / OB / RHOP / VC(4→4) /
     VC(2→4). Both sweeps shard over individual simulation points with
-    {!Runner.run_grouped} (per-shard counter registries, deterministic
-    ordered merge); [domains] defaults to
+    {!Runner.run_grouped} (per-worker counter registries, merged
+    after the join); [domains] defaults to
     {!Clusteer_util.Parallel.default_domains} and the output is
     order-deterministic — [domains:1] and [domains:N] produce
     identical results. *)

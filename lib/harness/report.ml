@@ -1,18 +1,7 @@
-module Csv = Clusteer_util.Csv
-module Interval = Clusteer_obs.Interval
-
 let ensure_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   if not (Sys.is_directory dir) then
     invalid_arg (Printf.sprintf "Report: %s is not a directory" dir)
-
-let write_interval_series ~dir ~name ~clusters samples =
-  ensure_dir dir;
-  let path = Filename.concat dir (name ^ "_intervals.csv") in
-  Csv.write ~path
-    ~header:(Interval.csv_header ~clusters)
-    (List.map Interval.csv_row samples);
-  path
 
 let write_slowdown_figure ~dir ~name (fig : Experiments.slowdown_figure) =
   ensure_dir dir;
@@ -53,25 +42,11 @@ let write_slowdown_figure ~dir ~name (fig : Experiments.slowdown_figure) =
 
 let write_scatter_figure ~dir (fig : Experiments.scatter_figure) =
   ensure_dir dir;
-  let dump suffix points =
-    let path = Filename.concat dir ("fig6_vs_" ^ suffix ^ ".csv") in
-    Csv.write ~path
-      ~header:
-        [ "trace"; "speedup_pct"; "copy_reduction_pct"; "balance_improvement_pct" ]
-      (List.map
-         (fun (p : Experiments.scatter_point) ->
-           [
-             p.Experiments.trace;
-             Printf.sprintf "%.4f" p.Experiments.speedup;
-             Printf.sprintf "%.4f" p.Experiments.copy_reduction;
-             Printf.sprintf "%.4f" p.Experiments.balance_improvement;
-           ])
-         points);
-    path
+  let path_prefix = Filename.concat dir "fig6" in
+  Experiments.export_scatter ~path_prefix fig;
+  let csvs =
+    List.map (fun v -> path_prefix ^ "_vs_" ^ v ^ ".csv") [ "ob"; "rhop"; "op" ]
   in
-  let p1 = dump "ob" fig.Experiments.vs_ob in
-  let p2 = dump "rhop" fig.Experiments.vs_rhop in
-  let p3 = dump "op" fig.Experiments.vs_op in
   let gp_path = Filename.concat dir "fig6.gp" in
   let oc = open_out gp_path in
   Fun.protect
@@ -102,4 +77,4 @@ let write_scatter_figure ~dir (fig : Experiments.scatter_figure) =
           ("b.3 VC vs OP", "fig6_vs_op.csv", 4, "balance improvement (%)");
         ];
       Printf.fprintf oc "unset multiplot\n");
-  [ p1; p2; p3; gp_path ]
+  csvs @ [ gp_path ]

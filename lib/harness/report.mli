@@ -13,14 +13,3 @@ val write_scatter_figure :
 (** Write the six Figure-6 panels: [fig6_vs_{ob,rhop,op}.csv] and a
     single [fig6.gp] producing the 2x3 panel grid. Returns the paths
     written. *)
-
-val write_interval_series :
-  dir:string ->
-  name:string ->
-  clusters:int ->
-  Clusteer_obs.Interval.sample list ->
-  string
-(** Write a run's per-interval telemetry (IPC, copy rate, stall
-    breakdown, per-cluster dispatch share) as [<name>_intervals.csv] —
-    the per-interval series that rides alongside the paper tables.
-    Returns the path written. *)

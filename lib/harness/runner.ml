@@ -281,66 +281,44 @@ let run_point ?warmup ?obs ?registry ?profile ?params ?trace_salt ~machine
   run_point_cached ?warmup ?obs ?registry ?profile ?params ?trace_salt
     ~machine ~configs ~uops point
 
-(* Registry-isolated parallel map. Under {!Parallel.Static} (the
-   default) the items are pre-partitioned into contiguous per-domain
-   shards, each shard runs against one private counter registry, and
-   the shard registries are merged into [into] in shard (= input)
-   order once every shard completes. Under {!Parallel.Steal} each
-   *item* gets a private registry and the per-item registries merge in
-   input order — the dynamic schedule balances uneven items at the
-   price of cross-domain cursor traffic. {!Counters.merge} is
-   commutative and associative over disjoint observation streams, so
-   both groupings produce bit-identical merged totals; as long as [f]
-   is deterministic per item, both produce results bit-identical to a
-   sequential run. The suite sweeps below and the service layer's
-   worker pool (lib/serve) both build on this. *)
-let map_isolated ?domains ?chunk ?(strategy = Parallel.Static)
-    ?(into = Counters.default) f items =
-  match strategy with
-  | Parallel.Steal ->
-      let shard item =
-        let registry = Counters.create () in
-        let result = f ~registry item in
-        (result, registry)
-      in
-      let sharded =
-        Parallel.map ?domains ?chunk ~strategy:Parallel.Steal
-          ~minor_heap_words:shard_minor_heap_words shard items
-      in
-      List.iter (fun (_, registry) -> Counters.merge ~into registry) sharded;
-      List.map fst sharded
-  | Parallel.Static ->
-      let results, registries =
-        Parallel.map_sharded ?domains
-          ~minor_heap_words:shard_minor_heap_words
-          ~init:(fun _ -> Counters.create ())
-          ~f:(fun registry item -> f ~registry item)
-          items
-      in
-      List.iter (fun registry -> Counters.merge ~into registry) registries;
-      results
+(* Registry-isolated parallel map: every worker runs its items against
+   one private counter registry, and the worker registries are merged
+   into [into] after the join. {!Counters.merge} sorts names and adds
+   integers, so the merged totals do not depend on which worker ran
+   which item — under either schedule, as long as [f] is deterministic
+   per item, the results and totals are bit-identical to a sequential
+   run. The service layer's worker pool (lib/serve) builds on this. *)
+let map_isolated ?domains ?strategy ?(into = Counters.default) f items =
+  let results, registries =
+    Parallel.map_sharded ?domains ?strategy
+      ~minor_heap_words:shard_minor_heap_words
+      ~init:(fun _ -> Counters.create ())
+      ~f:(fun registry item -> f ~registry item)
+      items
+  in
+  List.iter (fun registry -> Counters.merge ~into registry) registries;
+  results
 
 (* Parallel core: shard (profile x point) pairs over domains. The
    simulation is deterministic per point (a pure function of the trace
    seed and the machine), so [map_isolated]'s guarantee applies.
 
-   Under the default static strategy each domain additionally keeps a
-   {!reuse} context — cached workloads, compiled annotations and reset-
-   in-place engines — plus one self-profiler when [profiled]; all of it
-   private to the shard, merged (registry) or dropped (reuse) at the
-   end. Contiguous partitioning keeps a profile's points on one domain,
-   so the caches actually hit.
+   Each worker keeps, besides its private registry, a {!reuse} context
+   — cached workloads, compiled annotations and reset-in-place engines
+   — plus one self-profiler when [profiled]; all of it private to the
+   worker, merged (registry) or dropped (reuse) at the end. Under the
+   default static schedule contiguous slices keep a profile's points
+   on one worker, so the caches actually hit.
 
-   [profiled] attaches a pipeline self-profiler per shard, over the
-   shard's private registry — concurrent engines never share a span,
+   [profiled] attaches a pipeline self-profiler per worker, over the
+   worker's private registry — concurrent engines never share a span,
    and the phase-timing histograms merge back with the rest of the
-   shard registry in input order. When profiled, each item also
-   records a [harness.point] wall-time span and per-point GC deltas
-   ([harness.gc.*] counters). These are wall-clock quantities, hence
-   nondeterministic — which is why they are gated behind [profiled]
-   and absent from default-mode registries (the determinism contract
-   compares those). *)
-let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?chunk ?strategy
+   registry. When profiled, each item also records a [harness.point]
+   wall-time span and per-point GC deltas ([harness.gc.*] counters).
+   These are wall-clock quantities, hence nondeterministic — which is
+   why they are gated behind [profiled] and absent from default-mode
+   registries (the determinism contract compares those). *)
+let run_suite ?(progress = fun _ -> ()) ?warmup ?domains ?strategy
     ?(profiled = false) ?params ?trace_salt ~machine ~configs ~uops profiles =
   let items =
     List.concat_map
@@ -348,18 +326,18 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?chunk ?strategy
         List.map (fun point -> (profile, point)) (Pinpoints.points profile))
       profiles
   in
-  let run_item ~registry ~prof ~reuse ((profile : Profile.t), point) =
+  let run_item (registry, prof, reuse) ((profile : Profile.t), point) =
     if point.Pinpoints.index = 0 then progress profile.Profile.name;
     match prof with
     | None ->
-        run_point_cached ?warmup ~registry ?reuse ?params ?trace_salt
+        run_point_cached ?warmup ~registry ~reuse ?params ?trace_salt
           ~machine ~configs ~uops point
     | Some p ->
         let span = Clusteer_obs.Profile.span p "harness.point" in
         let gc0 = Gc.quick_stat () in
         let result =
           Clusteer_obs.Profile.time span (fun () ->
-              run_point_cached ?warmup ~registry ~profile:p ?reuse ?params
+              run_point_cached ?warmup ~registry ~profile:p ~reuse ?params
                 ?trace_salt ~machine ~configs ~uops point)
         in
         let gc1 = Gc.quick_stat () in
@@ -372,46 +350,22 @@ let run_points ?(progress = fun _ -> ()) ?warmup ?domains ?chunk ?strategy
           (gc1.Gc.major_collections - gc0.Gc.major_collections);
         result
   in
-  match Option.value ~default:Parallel.Static strategy with
-  | Parallel.Steal ->
-      (* Dynamic schedule: no stable item->domain mapping, so no state
-         survives an item — every item builds from scratch against its
-         own registry, exactly the PR 2 behaviour. *)
-      map_isolated ?domains ?chunk ~strategy:Parallel.Steal
-        (fun ~registry item ->
-          let prof =
-            if profiled then
-              Some (Clusteer_obs.Profile.create ~registry ())
-            else None
-          in
-          run_item ~registry ~prof ~reuse:None item)
-        items
-  | Parallel.Static ->
-      let results, shards =
-        Parallel.map_sharded ?domains
-          ~minor_heap_words:shard_minor_heap_words
-          ~init:(fun _ ->
-            let registry = Counters.create () in
-            let prof =
-              if profiled then
-                Some (Clusteer_obs.Profile.create ~registry ())
-              else None
-            in
-            (registry, prof, fresh_reuse ()))
-          ~f:(fun (registry, prof, reuse) item ->
-            run_item ~registry ~prof ~reuse:(Some reuse) item)
-          items
-      in
-      List.iter
-        (fun (registry, _, _) ->
-          Counters.merge ~into:Counters.default registry)
-        shards;
-      results
-
-let run_suite ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profiles =
-  run_points ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profiles
+  let results, workers =
+    Parallel.map_sharded ?domains ?strategy
+      ~minor_heap_words:shard_minor_heap_words
+      ~init:(fun _ ->
+        let registry = Counters.create () in
+        let prof =
+          if profiled then Some (Clusteer_obs.Profile.create ~registry ())
+          else None
+        in
+        (registry, prof, fresh_reuse ()))
+      ~f:run_item items
+  in
+  List.iter
+    (fun (registry, _, _) -> Counters.merge ~into:Counters.default registry)
+    workers;
+  results
 
 let rec split_at n xs =
   if n = 0 then ([], xs)
@@ -422,11 +376,11 @@ let rec split_at n xs =
         let taken, remaining = split_at (n - 1) rest in
         (x :: taken, remaining)
 
-let run_grouped ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-    ?trace_salt ~machine ~configs ~uops profiles =
+let run_grouped ?progress ?warmup ?domains ?profiled ?params ?trace_salt
+    ~machine ~configs ~uops profiles =
   let flat =
-    run_points ?progress ?warmup ?domains ?chunk ?strategy ?profiled ?params
-      ?trace_salt ~machine ~configs ~uops profiles
+    run_suite ?progress ?warmup ?domains ?profiled ?params ?trace_salt
+      ~machine ~configs ~uops profiles
   in
   let groups, rest =
     List.fold_left

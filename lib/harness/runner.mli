@@ -6,29 +6,29 @@
 
     {!run_suite} and {!run_grouped} shard their
     (profile × simulation-point) work items across OCaml domains
-    ([domains], default {!Clusteer_util.Parallel.default_domains}).
-    Under the default {!Clusteer_util.Parallel.Static} strategy the
-    items are pre-partitioned into contiguous per-domain shards before
-    spawn; each domain simulates against {b private} state — a counter
-    registry passed down to the policies and the engine, an optional
-    self-profiler, and a reuse context of cached workloads, compiled
-    annotations and reset-in-place engines — so concurrent shards
-    never share mutable state and the per-point allocation rate stays
-    low (OCaml 5 minor collections are stop-the-world across all
-    domains; the allocation-heavy per-item rebuild is what made the
-    earlier harness anti-scale). Shard registries are merged into
-    {!Clusteer_obs.Counters.default} in shard (= input) order once all
-    shards complete. Under {!Clusteer_util.Parallel.Steal} items are
-    claimed dynamically off a shared cursor and each item rebuilds its
-    state against a per-item registry — kept for genuinely uneven work
-    (the service layer's request batches).
+    ([domains], default {!Clusteer_util.Parallel.default_domains}) on
+    {!Clusteer_util.Parallel.map_sharded}. Each worker simulates
+    against {b private} state — a counter registry passed down to the
+    policies and the engine, an optional self-profiler, and a reuse
+    context of cached workloads, compiled annotations and
+    reset-in-place engines — so concurrent workers never share mutable
+    state and the per-point allocation rate stays low (OCaml 5 minor
+    collections are stop-the-world across all domains; an
+    allocation-heavy per-item rebuild is what made an earlier harness
+    anti-scale). The worker registries are merged into
+    {!Clusteer_obs.Counters.default} once all workers complete. The
+    schedule only decides which point a worker claims next: its own
+    contiguous slice under the default
+    {!Clusteer_util.Parallel.Static}, so a profile's points share one
+    worker's caches, or the next point off a shared cursor under
+    {!Clusteer_util.Parallel.Steal}.
 
     Since each point's simulation is a pure function of its trace seed
-    and the machine, and since the merges are order-preserving (and
-    {!Clusteer_obs.Counters.merge} is commutative and associative over
-    disjoint observation streams), both strategies and every domain
-    count produce results and merged counter totals bit-identical to a
-    sequential [domains:1] run. *)
+    and the machine, since a reset engine behaves exactly as a fresh
+    one, and since {!Clusteer_obs.Counters.merge} sorts names and adds
+    integers, both schedules and every domain count produce results
+    and merged counter totals bit-identical to a sequential
+    [domains:1] run. *)
 
 open Clusteer_uarch
 open Clusteer_workloads
@@ -141,30 +141,26 @@ val run_workload :
 
 val map_isolated :
   ?domains:int ->
-  ?chunk:int ->
   ?strategy:Clusteer_util.Parallel.strategy ->
   ?into:Clusteer_obs.Counters.registry ->
   (registry:Clusteer_obs.Counters.registry -> 'a -> 'b) ->
   'a list ->
   'b list
 (** Registry-isolated parallel map: run [f] over the items on up to
-    [domains] domains, handing [f] a {b private} counter registry —
-    one per contiguous shard under {!Clusteer_util.Parallel.Static}
-    (the default), one per item under
-    {!Clusteer_util.Parallel.Steal} — then merge the private
-    registries into [into] (default {!Clusteer_obs.Counters.default})
-    in input order. Results keep input order. [chunk] only applies to
-    the stealing strategy. Both groupings merge to bit-identical
-    totals ({!Clusteer_obs.Counters.merge} is commutative and
-    associative); as long as [f] is deterministic per item, a parallel
-    run is bit-identical to a sequential one. This is the primitive
-    behind {!run_suite} and the service layer's worker pool. *)
+    [domains] domains under [strategy] (default
+    {!Clusteer_util.Parallel.Static}), handing [f] its worker's
+    {b private} counter registry, then merge the worker registries
+    into [into] (default {!Clusteer_obs.Counters.default}). Results
+    keep input order. The merged totals do not depend on which worker
+    ran which item ({!Clusteer_obs.Counters.merge} sorts names and adds
+    integers); as long as [f] is deterministic per item, a parallel
+    run is bit-identical to a sequential one. The service layer's
+    worker pool runs on this. *)
 
 val run_suite :
   ?progress:(string -> unit) ->
   ?warmup:int ->
   ?domains:int ->
-  ?chunk:int ->
   ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   ?params:Clusteer.Configuration.params ->
@@ -175,7 +171,9 @@ val run_suite :
   Profile.t list ->
   point_result list
 (** Whole-suite sweep, sharded across domains at simulation-point
-    granularity; results keep (profile, point) input order. [progress]
+    granularity; results keep (profile, point) input order and are
+    the same under either [strategy] (default
+    {!Clusteer_util.Parallel.Static}). [progress]
     is called once per benchmark, from whichever domain picks up the
     benchmark's first point — ordering across benchmarks is therefore
     not guaranteed under [domains > 1]. *)
@@ -184,8 +182,6 @@ val run_grouped :
   ?progress:(string -> unit) ->
   ?warmup:int ->
   ?domains:int ->
-  ?chunk:int ->
-  ?strategy:Clusteer_util.Parallel.strategy ->
   ?profiled:bool ->
   ?params:Clusteer.Configuration.params ->
   ?trace_salt:int ->

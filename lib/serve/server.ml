@@ -209,8 +209,10 @@ let handle_batch t lines =
   let outcomes =
     (* Request batches are heterogeneous (arbitrary uops/config mixes)
        and the deadline check is time-of-dispatch, so the dynamic
-       stealing schedule is the right fit here; it also preserves the
-       per-item registry isolation the serve tests pin. *)
+       stealing schedule is the right fit here. Each worker runs its
+       jobs against one private registry, merged into the server's
+       after the batch; the merged totals do not depend on which
+       worker ran which job. *)
     timed t (fun p -> p.p_dispatch) @@ fun () ->
     Runner.map_isolated ?domains:t.cfg.domains
       ~strategy:Clusteer_util.Parallel.Steal ~into:t.registry

@@ -390,7 +390,6 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   List.iter (fun (base, bytes) -> Memsys.prewarm t.memsys ~base ~bytes) prewarm
 
 let stats t = t.stats
-let set_sink t obs = t.obs <- obs
 
 (* Events are stamped in measured time (1-based cycle index of the
    statistics), not the engine's internal clock: the internal clock

@@ -38,111 +38,16 @@ let with_minor_heap words f =
           f
       end
 
-let reraise failure =
-  match Atomic.get failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let collect results =
-  Array.to_list
-    (Array.map (function Some v -> v | None -> assert false) results)
-
-(* Opt-in stealing mode: a shared atomic cursor hands out [chunk]
-   consecutive indexes at a time. Kept for genuinely uneven work (the
-   service layer's request batches); the cursor line bounces between
-   domains, so the pre-partitioned mode below is the default. *)
-let steal_map ~domains ~chunk ~minor_heap_words f input n results =
-  let cursor = Atomic.make 0 in
-  let failure = Atomic.make None in
-  let worker () =
-    Option.iter grow_minor_heap minor_heap_words;
-    let rec loop () =
-      let start = Atomic.fetch_and_add cursor chunk in
-      if start < n && Atomic.get failure = None then begin
-        let stop = min n (start + chunk) in
-        (try
-           (* The failure flag is consulted before every *element*, not
-              just every chunk: under a large [chunk] a poisoned run
-              stops after the in-flight element instead of draining the
-              rest of the chunk. *)
-           let i = ref start in
-           while !i < stop && Atomic.get failure = None do
-             results.(!i) <- Some (f input.(!i));
-             incr i
-           done
-         with e ->
-           (* First failure wins; keep its backtrace so the caller
-              sees where the worker actually died. *)
-           let bt = Printexc.get_raw_backtrace () in
-           ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  (* There are only ceil(n/chunk) chunks to hand out: spawning more
-     helpers than chunks-beyond-the-parent's just pays spawn/join for
-     domains that never claim work. *)
-  let nchunks = (n + chunk - 1) / chunk in
-  let helpers =
-    List.init (min (domains - 1) (nchunks - 1)) (fun _ -> Domain.spawn worker)
-  in
-  worker ();
-  List.iter Domain.join helpers;
-  reraise failure
-
-(* Default mode: contiguous slices computed before spawn. No shared
-   cursor on the hot path; worker [w] owns [w*n/d, (w+1)*n/d). *)
-let static_map ~workers ~minor_heap_words f input n results =
-  let failure = Atomic.make None in
-  let run w =
-    let lo = w * n / workers and hi = (w + 1) * n / workers in
-    try
-      let i = ref lo in
-      while !i < hi && Atomic.get failure = None do
-        results.(!i) <- Some (f input.(!i));
-        incr i
-      done
-    with e ->
-      let bt = Printexc.get_raw_backtrace () in
-      ignore (Atomic.compare_and_set failure None (Some (e, bt)))
-  in
-  let helpers =
-    List.init (workers - 1) (fun k ->
-        Domain.spawn (fun () ->
-            Option.iter grow_minor_heap minor_heap_words;
-            run (k + 1)))
-  in
-  run 0;
-  List.iter Domain.join helpers;
-  reraise failure
-
-let map ?domains ?(chunk = 1) ?(strategy = Static) ?minor_heap_words f xs =
-  if chunk < 1 then invalid_arg "Parallel.map: chunk must be positive";
-  let domains =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  let input = Array.of_list xs in
-  let n = Array.length input in
-  (* A short list never spawns: with n <= chunk the cursor could only
-     ever hand out one chunk, so the helpers would join without doing
-     anything — run sequentially instead. The minor-heap sizing still
-     applies, so sequential and parallel runs see the same GC tuning
-     (and speedup comparisons against [domains:1] stay honest). *)
-  if domains <= 1 || n <= 1 || n <= chunk then
-    with_minor_heap minor_heap_words (fun () -> List.map f xs)
-  else begin
-    let results = Array.make n None in
-    with_minor_heap minor_heap_words (fun () ->
-        match strategy with
-        | Steal -> steal_map ~domains ~chunk ~minor_heap_words f input n results
-        | Static ->
-            static_map ~workers:(min domains n) ~minor_heap_words f input n
-              results);
-    collect results
-  end
-
-let map_sharded ?domains ?minor_heap_words ~init ~f xs =
+(* The one worker loop. Every worker allocates its private state with
+   [init] *inside* its own domain (so the state's minor allocations are
+   domain-local from birth), then claims indexes until the claim rule
+   runs out or another worker has failed. The strategy is only the
+   claim rule: [Static] walks worker [w]'s contiguous slice
+   [w*n/workers, (w+1)*n/workers), computed before spawn, so the hot
+   loop touches no shared state; [Steal] takes the next index off a
+   shared atomic cursor, which balances uneven items at the price of
+   the cursor line bouncing between domains. *)
+let map_sharded ?domains ?(strategy = Static) ?minor_heap_words ~init ~f xs =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
@@ -150,7 +55,7 @@ let map_sharded ?domains ?minor_heap_words ~init ~f xs =
   let n = Array.length input in
   if n = 0 then ([], [])
   else begin
-    let workers = max 1 (min domains n) in
+    let workers = min domains n in
     if workers = 1 then
       with_minor_heap minor_heap_words (fun () ->
           let state = init 0 in
@@ -159,34 +64,63 @@ let map_sharded ?domains ?minor_heap_words ~init ~f xs =
       let results = Array.make n None in
       let states = Array.make workers None in
       let failure = Atomic.make None in
+      let cursor = Atomic.make 0 in
+      let claimer w =
+        match strategy with
+        | Static ->
+            let next = ref (w * n / workers)
+            and hi = (w + 1) * n / workers in
+            fun () ->
+              let i = !next in
+              if i < hi then begin
+                next := i + 1;
+                i
+              end
+              else n
+        | Steal -> fun () -> Atomic.fetch_and_add cursor 1
+      in
       let run w =
         try
-          (* Shard state is allocated *inside* the owning domain, so
-             its minor allocations are domain-local from birth. *)
           let state = init w in
           states.(w) <- Some state;
-          let lo = w * n / workers and hi = (w + 1) * n / workers in
-          let i = ref lo in
-          while !i < hi && Atomic.get failure = None do
-            results.(!i) <- Some (f state input.(!i));
-            incr i
-          done
+          let claim = claimer w in
+          (* The failure flag is consulted before every element: a
+             poisoned run stops after the in-flight element. *)
+          let rec loop () =
+            if Atomic.get failure = None then begin
+              let i = claim () in
+              if i < n then begin
+                results.(i) <- Some (f state input.(i));
+                loop ()
+              end
+            end
+          in
+          loop ()
         with e ->
+          (* First failure wins; keep its backtrace so the caller
+             sees where the worker actually died. *)
           let bt = Printexc.get_raw_backtrace () in
           ignore (Atomic.compare_and_set failure None (Some (e, bt)))
       in
+      (* Backtrace recording is per domain and a spawned domain starts
+         with it off: without this a helper's failure would re-raise
+         with an empty backtrace. *)
+      let record_backtrace = Printexc.backtrace_status () in
       with_minor_heap minor_heap_words (fun () ->
           let helpers =
             List.init (workers - 1) (fun k ->
                 Domain.spawn (fun () ->
+                    Printexc.record_backtrace record_backtrace;
                     Option.iter grow_minor_heap minor_heap_words;
                     run (k + 1)))
           in
           run 0;
           List.iter Domain.join helpers);
-      reraise failure;
-      ( collect results,
-        Array.to_list
-          (Array.map (function Some s -> s | None -> assert false) states) )
+      (match Atomic.get failure with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ());
+      let get = function Some v -> v | None -> assert false in
+      ( Array.to_list (Array.map get results),
+        Array.to_list (Array.map get states) )
     end
   end

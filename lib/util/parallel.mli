@@ -4,11 +4,14 @@
     fans them out across domains while keeping results in input order,
     so a parallel sweep is bit-identical to a sequential one.
 
-    By default work is {b pre-partitioned}: each worker owns one
-    contiguous slice of the input computed before spawn, so the hot
-    loop touches no shared state (shared-nothing sharding). A dynamic
-    atomic-cursor mode ({!Steal}) remains available for genuinely
-    uneven work such as the service layer's request batches.
+    There is one worker loop, {!map_sharded}: each worker keeps private
+    state across the elements it runs, and a {!strategy} decides only
+    which element a worker claims next. By default work is
+    {b pre-partitioned}: each worker owns one contiguous slice of the
+    input computed before spawn, so the hot loop touches no shared state
+    (shared-nothing sharding). The atomic-cursor rule ({!Steal}) remains
+    for genuinely uneven work such as the service layer's request
+    batches.
 
     Because OCaml 5 minor collections are stop-the-world across all
     domains, allocation-heavy parallel regions should also pass
@@ -19,59 +22,46 @@
 type strategy =
   | Static  (** Contiguous pre-partitioned slices; no shared cursor. *)
   | Steal
-      (** Dynamic chunked scheduling off a shared atomic cursor;
-          balances very uneven per-element cost at the price of
-          cross-domain traffic on the cursor line. *)
-
-val map :
-  ?domains:int ->
-  ?chunk:int ->
-  ?strategy:strategy ->
-  ?minor_heap_words:int ->
-  ('a -> 'b) ->
-  'a list ->
-  'b list
-(** [map ~domains ~chunk ~strategy f xs] applies [f] to every element,
-    using up to [domains] domains (default {!default_domains}; 1, a
-    short list, or [n <= chunk] degrades to [List.map] without
-    spawning). Under {!Steal}, workers claim [chunk] consecutive
-    elements at a time (default 1) and at most [ceil(n/chunk) - 1]
-    helper domains are spawned — never more than there are chunks
-    beyond the parent's first. [chunk] is ignored by {!Static} (the
-    default), which assigns worker [w] the slice
-    [\[w*n/workers, (w+1)*n/workers)].
-
-    [minor_heap_words], when given, enlarges every participating
-    domain's minor heap to at least that many words for the duration
-    of the call (the parent's setting is restored afterwards; it is
-    never shrunk).
-
-    [f] must be safe to run concurrently with itself on distinct
-    elements; an exception raised by [f] poisons the run — every
-    worker checks the failure flag before each {e element} and stops
-    promptly — and the first failure is re-raised in the caller with
-    the worker's backtrace ({!Printexc.raise_with_backtrace}). Raises
-    [Invalid_argument] if [chunk < 1]. *)
+      (** Each worker claims the next element off a shared atomic
+          cursor; balances very uneven per-element cost at the price
+          of cross-domain traffic on the cursor line. *)
 
 val map_sharded :
   ?domains:int ->
+  ?strategy:strategy ->
   ?minor_heap_words:int ->
   init:(int -> 's) ->
   f:('s -> 'a -> 'b) ->
   'a list ->
   'b list * 's list
-(** [map_sharded ~init ~f xs] is the shared-nothing primitive behind
-    the harness: the input is split into at most [domains] contiguous
-    shards, each worker allocates its private state with [init shard]
-    {e inside} its own domain (so the state's minor allocations are
-    domain-local from birth), maps its slice with [f state], and the
-    call returns [(results, states)] — results in input order, shard
-    states in shard order (shard 0, the parent's, first). Shard 0 owns
-    the lowest slice, so concatenating the slices in shard order
-    reproduces the input order; merging the states in shard order is
-    therefore an input-order merge. With one worker (or [domains <= 1])
-    no domain is spawned and a single state serves the whole list.
-    Failure semantics as in {!map}. *)
+(** [map_sharded ~init ~f xs] runs on up to [domains] workers (default
+    {!default_domains}; never more than there are elements). Each
+    worker allocates its private state with [init w] {e inside} its own
+    domain (so the state's minor allocations are domain-local from
+    birth) and applies [f state] to every element it claims: its
+    contiguous slice [\[w*n/workers, (w+1)*n/workers)] under {!Static}
+    (the default), the next unclaimed element under {!Steal}. The call
+    returns [(results, states)] — results in input order, states in
+    worker order (worker 0, the parent's, first). Under {!Static},
+    worker 0 owns the lowest slice, so merging the states in worker
+    order is an input-order merge; under {!Steal} the element-to-worker
+    mapping is dynamic, so only an order-insensitive merge of the
+    states is deterministic. With one worker (or [domains <= 1]) no
+    domain is spawned and a single state serves the whole list; an
+    empty list yields no state.
+
+    [minor_heap_words], when given, enlarges every participating
+    domain's minor heap to at least that many words for the duration
+    of the call (the parent's setting is restored afterwards; it is
+    never shrunk). The sequential path applies it too, so speedup
+    comparisons against [domains:1] see the same GC tuning.
+
+    [f] must be safe to run concurrently with itself on distinct
+    elements and distinct states; an exception raised by [init] or [f]
+    poisons the run — every worker checks the failure flag before each
+    element and stops promptly — and the first failure is re-raised in
+    the caller with the worker's backtrace
+    ({!Printexc.raise_with_backtrace}). *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], capped at

@@ -163,6 +163,20 @@ let test_sweep_csv () =
   (* 3 cluster counts x 9 configurations *)
   check_int "rows" 27 !rows
 
+(* sweep resolves its name like simulate: a kernel sweeps its one
+   phase, an unknown name is one diagnostic line and exit 1. *)
+let test_sweep_resolves () =
+  let code, out = run_capture "sweep -w dot -n 500" in
+  check_int "kernel exits 0" 0 code;
+  (* header, rule, 3 cluster counts x 9 configurations *)
+  check_int "kernel rows" 29
+    (List.length (String.split_on_char '\n' (String.trim out)));
+  let code, out = run_capture_all "sweep -w nosuch -n 500" in
+  check_int "unknown exits 1" 1 code;
+  check_bool "one diagnostic line" true
+    (contains out "unknown workload \"nosuch\" (try `csteer list`"
+    && List.length (String.split_on_char '\n' (String.trim out)) = 1)
+
 let test_experiment_tables () =
   let code, out = run_capture "experiment tables" in
   check_int "exit 0" 0 code;
@@ -379,6 +393,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "vliw" `Quick test_vliw;
           Alcotest.test_case "sweep csv" `Slow test_sweep_csv;
+          Alcotest.test_case "sweep resolves" `Quick test_sweep_resolves;
           Alcotest.test_case "experiment tables" `Quick test_experiment_tables;
           Alcotest.test_case "experiment sec21" `Quick test_experiment_sec21;
           Alcotest.test_case "unknown experiment" `Quick test_unknown_experiment;

@@ -61,28 +61,29 @@ let test_suite_parallel_equals_sequential () =
         a.runs b.runs)
     seq par
 
-let test_chunked_sharding_equals_sequential () =
+(* Four points over three workers: slices of uneven length (1, 1, 2),
+   so one worker resets and reuses its engines mid-run. *)
+let test_uneven_sharding_equals_sequential () =
   let seq = run_mini ~domains:1 in
-  let par =
-    Harness.Runner.run_suite ~domains:3 ~chunk:2 ~machine:Config.default_2c
-      ~configs:mini_configs ~uops:1500 mini_suite
-  in
+  let par = run_mini ~domains:3 in
   List.iter2
     (fun (a : Harness.Runner.point_result) (b : Harness.Runner.point_result) ->
       List.iter2
         (fun (_, sa) (_, sb) ->
-          check_bool "chunked Stats.equal" true (Stats.equal sa sb))
+          check_bool "uneven shards Stats.equal" true (Stats.equal sa sb))
         a.runs b.runs)
     seq par
 
 (* ---- static vs stealing strategy agreement ------------------------ *)
 
 (* The two scheduling strategies differ in everything the harness is
-   allowed to vary — item→domain mapping, per-shard state reuse vs
-   per-item rebuild, registry granularity — so agreement here pins the
-   whole shared-nothing refactor: random suites must produce
-   bit-identical per-point statistics AND bit-identical merged counter
-   registries under both strategies, for any domain count. *)
+   allowed to vary — which worker runs which point, and so which
+   cached workloads and reset engines a point reuses — so random
+   suites must produce bit-identical per-point statistics AND
+   bit-identical merged counter registries under both strategies, for
+   any domain count. Both must also equal a sequential
+   [List.map Runner.run_point], which builds fresh engines for every
+   point: the reference that pins engine reuse itself. *)
 let prop_strategies_agree =
   let open QCheck in
   let profile_gen =
@@ -106,16 +107,12 @@ let prop_strategies_agree =
   in
   Test.make ~name:"static and stealing strategies agree" ~count:8 case
     (fun (profiles, domains) ->
-      let run strategy =
-        (* The suite merges shard registries into the default registry;
+      let observe run =
+        (* The suite merges worker registries into the default registry;
            start each run from the same zeroed state so the registry
            JSONs are directly comparable. *)
         Clusteer_obs.Counters.reset Clusteer_obs.Counters.default;
-        let results =
-          Harness.Runner.run_suite ~domains ~strategy
-            ~machine:Config.default_2c ~configs:mini_configs ~uops:500
-            profiles
-        in
+        let results = run () in
         let stats_json =
           List.map
             (fun (r : Harness.Runner.point_result) ->
@@ -130,7 +127,19 @@ let prop_strategies_agree =
         in
         (stats_json, registry_json)
       in
-      run Clusteer_util.Parallel.Static = run Clusteer_util.Parallel.Steal)
+      let suite strategy () =
+        Harness.Runner.run_suite ~domains ~strategy ~machine:Config.default_2c
+          ~configs:mini_configs ~uops:500 profiles
+      in
+      let reference () =
+        List.map
+          (Harness.Runner.run_point ~machine:Config.default_2c
+             ~configs:mini_configs ~uops:500)
+          (List.concat_map Pinpoints.points profiles)
+      in
+      let expected = observe reference in
+      observe (suite Clusteer_util.Parallel.Static) = expected
+      && observe (suite Clusteer_util.Parallel.Steal) = expected)
 
 (* ---- shared trace buffer vs fresh generators ----------------------- *)
 
@@ -432,8 +441,8 @@ let () =
         [
           Alcotest.test_case "domains 1 = domains 4" `Slow
             test_suite_parallel_equals_sequential;
-          Alcotest.test_case "chunked sharding" `Slow
-            test_chunked_sharding_equals_sequential;
+          Alcotest.test_case "uneven sharding" `Slow
+            test_uneven_sharding_equals_sequential;
           QCheck_alcotest.to_alcotest prop_strategies_agree;
           Alcotest.test_case "shared trace = fresh generators" `Slow
             test_shared_trace_matches_fresh_generators;

@@ -597,25 +597,40 @@ let test_plot_labels () =
 
 (* ---- Parallel ---------------------------------------------------------- *)
 
+(* A stateless map on the one worker loop: every test below runs
+   under both claim rules. *)
+let pmap ?domains ?strategy f xs =
+  fst (Parallel.map_sharded ?domains ?strategy ~init:ignore ~f:(fun () -> f) xs)
+
+let strategies = [ ("static", Parallel.Static); ("steal", Parallel.Steal) ]
+
 let test_parallel_matches_sequential () =
   let xs = List.init 100 Fun.id in
   let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "order-deterministic" (List.map f xs)
-    (Parallel.map ~domains:4 f xs)
+  List.iter
+    (fun (name, strategy) ->
+      Alcotest.(check (list int)) (name ^ " order-deterministic")
+        (List.map f xs)
+        (pmap ~domains:4 ~strategy f xs))
+    strategies
 
 let test_parallel_single_domain () =
   Alcotest.(check (list int)) "degrades to List.map" [ 2; 4 ]
-    (Parallel.map ~domains:1 (fun x -> 2 * x) [ 1; 2 ])
+    (pmap ~domains:1 (fun x -> 2 * x) [ 1; 2 ])
 
 let test_parallel_empty_and_singleton () =
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~domains:4 Fun.id []);
-  Alcotest.(check (list int)) "singleton" [ 7 ]
-    (Parallel.map ~domains:4 Fun.id [ 7 ])
+  List.iter
+    (fun (name, strategy) ->
+      Alcotest.(check (list int)) (name ^ " empty") []
+        (pmap ~domains:4 ~strategy Fun.id []);
+      Alcotest.(check (list int)) (name ^ " singleton") [ 7 ]
+        (pmap ~domains:4 ~strategy Fun.id [ 7 ]))
+    strategies
 
 let test_parallel_propagates_exception () =
   Alcotest.check_raises "worker failure" (Failure "boom") (fun () ->
       ignore
-        (Parallel.map ~domains:3
+        (pmap ~domains:3
            (fun x -> if x = 5 then failwith "boom" else x)
            (List.init 10 Fun.id)))
 
@@ -625,72 +640,104 @@ let test_parallel_default_domains () =
     (Parallel.default_domains () <= Parallel.default_domain_cap);
   check_int "documented cap" 8 Parallel.default_domain_cap
 
-let test_parallel_chunked_matches_sequential () =
-  let xs = List.init 37 Fun.id in
-  let f x = (x * 3) - 1 in
-  List.iter
-    (fun chunk ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "chunk %d" chunk)
-        (List.map f xs)
-        (Parallel.map ~domains:4 ~chunk f xs))
-    [ 1; 2; 5; 37; 100 ]
+exception Worker_died of int
 
-let test_parallel_rejects_bad_chunk () =
-  Alcotest.check_raises "chunk 0"
-    (Invalid_argument "Parallel.map: chunk must be positive") (fun () ->
-      ignore (Parallel.map ~domains:2 ~chunk:0 Fun.id [ 1 ]))
+(* Not inlined, so the frame shows up in the worker's backtrace. *)
+let[@inline never] die x = raise (Worker_died x)
 
 let test_parallel_exception_keeps_backtrace () =
-  (* The re-raise must preserve the worker's exception payload; raising
-     from a chunked multi-domain run exercises the backtrace-carrying
-     failure slot. *)
-  Alcotest.check_raises "worker failure" (Failure "chunked boom") (fun () ->
-      ignore
-        (Parallel.map ~domains:4 ~chunk:3
-           (fun x -> if x = 17 then failwith "chunked boom" else x)
-           (List.init 32 Fun.id)))
+  (* The caller must see the worker's payload and the worker's
+     backtrace: its first frame is the raise in [die], not the re-raise
+     inside Parallel. Element 17 of 32 falls in a helper domain's
+     slice under Static. *)
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  List.iter
+    (fun (name, strategy) ->
+      match
+        pmap ~domains:4 ~strategy
+          (fun x -> if x = 17 then die x else x)
+          (List.init 32 Fun.id)
+      with
+      | _ -> Alcotest.failf "%s: expected the worker failure to re-raise" name
+      | exception Worker_died x ->
+          let bt = Printexc.get_raw_backtrace () in
+          check_int (name ^ " payload") 17 x;
+          let first =
+            Option.bind (Printexc.backtrace_slots bt) (fun slots ->
+                if Array.length slots = 0 then None
+                else Printexc.Slot.location slots.(0))
+          in
+          Alcotest.(check (option string))
+            (name ^ " raised in the worker")
+            (Some "test/test_util.ml")
+            (Option.map (fun l -> l.Printexc.filename) first))
+    strategies
 
 let test_parallel_steal_matches_sequential () =
+  (* Uneven per-element cost, so the cursor hands elements out of
+     order across domains; results must still come back in input
+     order, every element exactly once. *)
   let xs = List.init 53 Fun.id in
-  let f x = (x * 7) mod 11 in
+  let f x =
+    if x mod 7 = 0 then Unix.sleepf 0.001;
+    (x * 7) mod 11
+  in
   List.iter
-    (fun chunk ->
+    (fun domains ->
+      let results, visits =
+        Parallel.map_sharded ~domains ~strategy:Parallel.Steal
+          ~init:(fun _ -> ref 0)
+          ~f:(fun n x ->
+            incr n;
+            f x)
+          xs
+      in
       Alcotest.(check (list int))
-        (Printf.sprintf "steal chunk %d" chunk)
-        (List.map f xs)
-        (Parallel.map ~domains:4 ~chunk ~strategy:Parallel.Steal f xs))
-    [ 1; 2; 5; 53; 100 ]
+        (Printf.sprintf "steal on %d domains" domains)
+        (List.map f xs) results;
+      check_int
+        (Printf.sprintf "each element once on %d domains" domains)
+        53
+        (List.fold_left (fun acc n -> acc + !n) 0 visits))
+    [ 1; 2; 4; 53; 100 ]
 
 let test_parallel_steal_propagates_exception () =
   Alcotest.check_raises "steal worker failure" (Failure "steal boom")
     (fun () ->
       ignore
-        (Parallel.map ~domains:3 ~chunk:2 ~strategy:Parallel.Steal
+        (pmap ~domains:3 ~strategy:Parallel.Steal
            (fun x -> if x = 9 then failwith "steal boom" else x)
            (List.init 20 Fun.id)))
 
 let test_parallel_failure_stops_per_element () =
-  (* One big chunk per worker: after element 0 poisons the run, the
-     owning worker must notice before each subsequent element rather
-     than draining its whole chunk. Surviving elements sleep, so a
-     chunk-granular check would evaluate ~100 elements; the
-     per-element check stops almost immediately. *)
+  (* Element 0 poisons the run at once. Under Static the other worker
+     owns the 100-element upper slice and must notice before each of
+     its elements rather than draining the slice; under Steal it must
+     stop claiming. Surviving elements sleep, so a slice-granular check
+     would evaluate ~100 elements; the per-element check stops almost
+     immediately. *)
   let n = 200 in
-  let evaluated = Atomic.make 0 in
-  (try
-     ignore
-       (Parallel.map ~domains:2 ~chunk:100 ~strategy:Parallel.Steal
-          (fun x ->
-            Atomic.incr evaluated;
-            if x = 0 then failwith "poison" else Unix.sleepf 0.002)
-          (List.init n Fun.id));
-     Alcotest.fail "expected the poisoned run to raise"
-   with Failure msg when msg = "poison" -> ());
-  check_bool
-    (Printf.sprintf "stopped early (evaluated %d of %d)" (Atomic.get evaluated) n)
-    true
-    (Atomic.get evaluated < 50)
+  List.iter
+    (fun (name, strategy) ->
+      let evaluated = Atomic.make 0 in
+      (try
+         ignore
+           (pmap ~domains:2 ~strategy
+              (fun x ->
+                Atomic.incr evaluated;
+                if x = 0 then failwith "poison" else Unix.sleepf 0.002)
+              (List.init n Fun.id));
+         Alcotest.fail "expected the poisoned run to raise"
+       with Failure msg when msg = "poison" -> ());
+      check_bool
+        (Printf.sprintf "%s stopped early (evaluated %d of %d)" name
+           (Atomic.get evaluated) n)
+        true
+        (Atomic.get evaluated < 50))
+    strategies
 
 let test_parallel_map_sharded_basics () =
   let xs = List.init 40 Fun.id in
@@ -698,15 +745,18 @@ let test_parallel_map_sharded_basics () =
     incr state;
     x * 2
   in
-  let results, states =
-    Parallel.map_sharded ~domains:4 ~init:(fun _ -> ref 0) ~f xs
-  in
-  Alcotest.(check (list int)) "results in input order"
-    (List.map (fun x -> x * 2) xs)
-    results;
-  check_int "one state per worker" 4 (List.length states);
-  check_int "every element visited exactly once" 40
-    (List.fold_left (fun acc r -> acc + !r) 0 states)
+  List.iter
+    (fun (name, strategy) ->
+      let results, states =
+        Parallel.map_sharded ~domains:4 ~strategy ~init:(fun _ -> ref 0) ~f xs
+      in
+      Alcotest.(check (list int)) (name ^ " results in input order")
+        (List.map (fun x -> x * 2) xs)
+        results;
+      check_int (name ^ " one state per worker") 4 (List.length states);
+      check_int (name ^ " every element visited exactly once") 40
+        (List.fold_left (fun acc r -> acc + !r) 0 states))
+    strategies
 
 let test_parallel_map_sharded_shard_order () =
   (* Worker [w] owns the contiguous slice [w*n/d, (w+1)*n/d); the
@@ -740,13 +790,23 @@ let test_parallel_map_sharded_empty () =
   check_int "no states" 0 (List.length states)
 
 let test_parallel_map_sharded_propagates_exception () =
-  Alcotest.check_raises "sharded worker failure" (Failure "shard boom")
-    (fun () ->
-      ignore
-        (Parallel.map_sharded ~domains:3
-           ~init:(fun _ -> ())
-           ~f:(fun () x -> if x = 11 then failwith "shard boom" else x)
-           (List.init 20 Fun.id)))
+  List.iter
+    (fun (name, strategy) ->
+      Alcotest.check_raises (name ^ " failure in init") (Failure "init boom")
+        (fun () ->
+          ignore
+            (Parallel.map_sharded ~domains:3 ~strategy
+               ~init:(fun w -> if w = 2 then failwith "init boom")
+               ~f:(fun () x -> x)
+               (List.init 20 Fun.id)));
+      Alcotest.check_raises (name ^ " failure in f") (Failure "shard boom")
+        (fun () ->
+          ignore
+            (Parallel.map_sharded ~domains:3 ~strategy
+               ~init:(fun _ -> ())
+               ~f:(fun () x -> if x = 11 then failwith "shard boom" else x)
+               (List.init 20 Fun.id))))
+    strategies
 
 (* ---- Table / Csv ---------------------------------------------------- *)
 
@@ -868,9 +928,6 @@ let () =
           Alcotest.test_case "empty and singleton" `Quick test_parallel_empty_and_singleton;
           Alcotest.test_case "propagates exception" `Quick test_parallel_propagates_exception;
           Alcotest.test_case "default domains" `Quick test_parallel_default_domains;
-          Alcotest.test_case "chunked matches sequential" `Quick
-            test_parallel_chunked_matches_sequential;
-          Alcotest.test_case "rejects bad chunk" `Quick test_parallel_rejects_bad_chunk;
           Alcotest.test_case "exception keeps backtrace" `Quick
             test_parallel_exception_keeps_backtrace;
           Alcotest.test_case "steal matches sequential" `Quick
