@@ -329,6 +329,53 @@ let test_tune_study_golden () =
   in
   check_bool "vc study byte-identical to seed" true (out = expected)
 
+(* The engine goldens (test/goldens/engine_*.json, written by
+   gen_engine_goldens.sh): mcf, gzip-1 and swim under op, vc2 and
+   thermal on p2p, ring and mesh4x2, with the default warmup. Each
+   file's command line is re-run plain and observed (interval
+   telemetry, Chrome trace); both stats documents and the trace's
+   digest must reproduce byte for byte. *)
+let test_engine_goldens () =
+  let goldens =
+    Sys.readdir golden_dir |> Array.to_list
+    |> List.filter (fun f ->
+           String.starts_with ~prefix:"engine_" f
+           && Filename.check_suffix f ".json")
+    |> List.sort compare
+  in
+  check_int "golden count" 27 (List.length goldens);
+  List.iter
+    (fun golden ->
+      let expected = read_file (Filename.concat golden_dir golden) in
+      let args =
+        match
+          Option.bind
+            (Result.to_option (Clusteer_obs.Json.of_string expected))
+            (Clusteer_obs.Json.member "args")
+        with
+        | Some (Clusteer_obs.Json.Str a) -> a
+        | _ -> Alcotest.failf "%s: no args" golden
+      in
+      let code, plain = run_stdout (args ^ " --json") in
+      check_int (golden ^ " plain exit") 0 code;
+      let trace = Filename.temp_file "csteer_engine" ".json" in
+      let code, observed =
+        run_stdout
+          (Printf.sprintf
+             "%s --json --stats-interval 300 --trace-out %s --trace-format json"
+             args (Filename.quote trace))
+      in
+      check_int (golden ^ " observed exit") 0 code;
+      let md5 = Digest.to_hex (Digest.file trace) in
+      Sys.remove trace;
+      let got =
+        Printf.sprintf
+          "{\"args\":\"%s\",\"trace_md5\":\"%s\",\"plain\":%s,\"observed\":%s}\n"
+          args md5 (String.trim plain) (String.trim observed)
+      in
+      check_bool (golden ^ " byte-identical") true (got = expected))
+    goldens
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "clusteer_topo"
@@ -365,5 +412,6 @@ let () =
         [
           Alcotest.test_case "seed stats documents" `Slow test_seed_goldens;
           Alcotest.test_case "seed vc tune study" `Slow test_tune_study_golden;
+          Alcotest.test_case "engine runs" `Slow test_engine_goldens;
         ] );
     ]
