@@ -83,6 +83,65 @@ let invalidate_all t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.recency 0 (Array.length t.recency) 0
 
+(* ---- tail prewarm ------------------------------------------------ *)
+
+(* A touch sequence leaves in each set only its last [ways] distinct
+   lines, ordered by their last touch, and a victim is only ever
+   chosen by comparing recencies within one set. So [warm] walks the
+   sequence backwards, writes each set's lines into its ways in the
+   order they are met, and stops once every set is full. The [j]-th
+   touch from the end gets the recency the [touch] loop would have
+   given it, [clock + total - j], and the clock moves past all of
+   them; the lines sit in other ways than the loop would put them in,
+   which no lookup or victim choice can tell apart. Filled ways are a
+   prefix of each set, as after the loop. *)
+
+let line_count ~step bytes = max 1 ((bytes + step - 1) / step)
+
+(* First way at or after [w] holding [tag] or nothing, [-1] if none. *)
+let rec slot_from (tags : int array) base ways (tag : int) w =
+  if w = ways then -1
+  else
+    let x = tags.(base + w) in
+    if x = tag || x = -1 then w else slot_from tags base ways tag (w + 1)
+
+(* Lines [i], [i - 1], ..., 0 of the extent at [base]; [j] counts the
+   touches after line [i]. Returns the lines placed so far. *)
+let rec warm_lines t ~base ~step ~top ~placed i j =
+  if i < 0 || placed = t.sets * t.ways then placed
+  else
+    let addr = base + (i * step) in
+    let set_base = set_of t addr * t.ways and tag = tag_of t addr in
+    let w = slot_from t.tags set_base t.ways tag 0 in
+    let placed =
+      if w >= 0 && t.tags.(set_base + w) = -1 then begin
+        t.tags.(set_base + w) <- tag;
+        t.recency.(set_base + w) <- top - j;
+        placed + 1
+      end
+      else placed
+    in
+    warm_lines t ~base ~step ~top ~placed (i - 1) (j + 1)
+
+(* The extents last to first; [suffix] counts the touches of this
+   extent and every later one. *)
+let rec warm_extents t ~step ~top ~suffix = function
+  | [] -> 0
+  | (base, bytes) :: rest ->
+      let n = line_count ~step bytes in
+      let after = suffix - n in
+      let placed = warm_extents t ~step ~top ~suffix:after rest in
+      warm_lines t ~base ~step ~top ~placed (n - 1) after
+
+let warm t ~step extents =
+  invalidate_all t;
+  let total =
+    List.fold_left (fun n (_, bytes) -> n + line_count ~step bytes) 0 extents
+  in
+  let top = t.clock + total in
+  ignore (warm_extents t ~step ~top ~suffix:total extents : int);
+  t.clock <- top
+
 let hits t = t.hits
 let misses t = t.misses
 

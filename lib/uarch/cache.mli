@@ -32,6 +32,17 @@ val way_from : int array -> int -> int -> int -> int -> int
 
 val invalidate_all : t -> unit
 
+val warm : t -> step:int -> (int * int) list -> unit
+(** [warm t ~step extents] leaves [t] as {!invalidate_all} followed by
+    a {!touch} of [base + i * step] for every [i] below
+    [max 1 (ceil (bytes / step))] of every [(base, bytes)] extent, in
+    list order, would. It does not replay the touches: it walks them
+    backwards and writes each set's last [ways] distinct lines straight
+    into the set, in recency order, stopping once every set is full.
+    The lines may sit in other ways than the touches would leave them
+    in; no lookup, fill or eviction can tell the difference. Allocates
+    nothing. *)
+
 (* Statistics *)
 val hits : t -> int
 val misses : t -> int

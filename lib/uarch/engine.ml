@@ -51,15 +51,18 @@ type fetch_slot = {
   mutable misp : bool;
 }
 
-(* Self-profiler spans, interned once at creation so the per-cycle
-   instrumented path touches no hashtable. *)
-type prof_spans = {
-  p_fetch : Obs_profile.span;
-  p_dispatch : Obs_profile.span;
-  p_issue : Obs_profile.span;
-  p_writeback : Obs_profile.span;
-  p_commit : Obs_profile.span;
-}
+(* Self-profiler phases, in step order: indices into the engine's span
+   array, interned once at creation so the per-cycle instrumented path
+   touches no hashtable. *)
+let ph_writeback = 0
+let ph_commit = 1
+let ph_issue = 2
+let ph_dispatch = 3
+let ph_fetch = 4
+
+let phase_spans =
+  [| "engine.writeback"; "engine.commit"; "engine.issue"; "engine.dispatch";
+     "engine.fetch" |]
 
 let never = max_int
 
@@ -133,9 +136,10 @@ type t = {
      final statistics are bit-identical to an uninstrumented engine *)
   mutable obs : Obs_sink.t option;
   copyq_depth_hist : Obs_counters.histogram;
-  (* self-profiler: like [obs], [None] means every step is one pattern
-     match away from the uninstrumented path *)
-  prof : prof_spans option;
+  (* self-profiler: one span per phase, indexed by the [ph_*]
+     constants; empty without a profiler, so each phase boundary is one
+     length test away from the uninstrumented path *)
+  prof : Obs_profile.span array;
 }
 
 let queue_index = function
@@ -318,16 +322,8 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
       copyq_depth_hist = Obs_counters.histogram ?registry "engine.copyq_depth";
       prof =
         (match profile with
-        | None -> None
-        | Some p ->
-            Some
-              {
-                p_fetch = Obs_profile.span p "engine.fetch";
-                p_dispatch = Obs_profile.span p "engine.dispatch";
-                p_issue = Obs_profile.span p "engine.issue";
-                p_writeback = Obs_profile.span p "engine.writeback";
-                p_commit = Obs_profile.span p "engine.commit";
-              });
+        | None -> [||]
+        | Some p -> Array.map (Obs_profile.span p) phase_spans);
       (* Placeholder, replaced right below: the real view's closures
          need [t] itself. *)
       view =
@@ -344,7 +340,7 @@ let create ~config ~annot ~policy ?(prewarm = []) ?obs ?registry ?profile () =
     }
   in
   t.view <- make_view t;
-  List.iter (fun (base, bytes) -> Memsys.prewarm t.memsys ~base ~bytes) prewarm;
+  Memsys.prewarm t.memsys prewarm;
   t
 
 let reset ?(prewarm = []) ?obs t ~annot ~policy =
@@ -387,7 +383,7 @@ let reset ?(prewarm = []) ?obs t ~annot ~policy =
   t.stores_this_cycle <- 0;
   t.obs <- obs;
   t.view <- make_view t;
-  List.iter (fun (base, bytes) -> Memsys.prewarm t.memsys ~base ~bytes) prewarm
+  Memsys.prewarm t.memsys prewarm
 
 let stats t = t.stats
 
@@ -689,14 +685,18 @@ let issue_queue t cluster qidx queue =
     Readyq.select t.ready_q.(cluster).(qidx) ~width:(queue_width t.cfg queue)
       try_start t
   in
-  t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - started
+  t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - started;
+  started
 
+(* Returns how many instructions started. *)
 let issue t =
+  let started = ref 0 in
   for c = 0 to t.cfg.Config.clusters - 1 do
-    issue_queue t c 2 Opcode.Copy_queue;
-    issue_queue t c 0 Opcode.Int_queue;
-    issue_queue t c 1 Opcode.Fp_queue
-  done
+    started := !started + issue_queue t c 2 Opcode.Copy_queue;
+    started := !started + issue_queue t c 0 Opcode.Int_queue;
+    started := !started + issue_queue t c 1 Opcode.Fp_queue
+  done;
+  !started
 
 (* ---- dispatch ---------------------------------------------------- *)
 
@@ -928,6 +928,42 @@ let dispatch_one t (slot : fetch_slot) =
           end
         end
 
+(* Add [n] cycles to the stall counter of [blk]; the trace's name for
+   the reason, if it is one. *)
+let charge_stall t blk n =
+  let s = t.stats in
+  match blk with
+  | Blk_none | Blk_width -> None
+  | Blk_empty ->
+      s.Stats.stall_empty <- s.Stats.stall_empty + n;
+      Some Obs_event.Empty
+  | Blk_rob ->
+      s.Stats.stall_rob_full <- s.Stats.stall_rob_full + n;
+      Some Obs_event.Rob_full
+  | Blk_lsq ->
+      s.Stats.stall_lsq_full <- s.Stats.stall_lsq_full + n;
+      Some Obs_event.Lsq_full
+  | Blk_reg ->
+      s.Stats.stall_regfile <- s.Stats.stall_regfile + n;
+      Some Obs_event.Regfile
+  | Blk_policy ->
+      s.Stats.stall_policy <- s.Stats.stall_policy + n;
+      Some Obs_event.Policy
+  | Blk_iq ->
+      s.Stats.stall_iq_full <- s.Stats.stall_iq_full + n;
+      Some Obs_event.Iq_full
+  | Blk_copyq ->
+      s.Stats.stall_copyq_full <- s.Stats.stall_copyq_full + n;
+      Some Obs_event.Copyq_full
+
+let emit_stall t reason =
+  match (t.obs, reason) with
+  | Some sink, Some reason ->
+      sink.Obs_sink.emit (Obs_event.Stall { cycle = now t; reason })
+  | (Some _ | None), _ -> ()
+
+(* Returns what blocked the first micro-op when nothing dispatched,
+   [Blk_none] otherwise. *)
 let dispatch t =
   let budget = ref t.cfg.Config.dispatch_width in
   (* "3+3": the steer stage can deliver at most [dispatch_per_cluster]
@@ -951,44 +987,15 @@ let dispatch t =
   done;
   (* Attribute at most one stall reason per cycle, and only when the
      dispatch stage did not fill its full width. *)
-  if !budget > 0 then begin
-    let s = t.stats in
-    let reason =
-      match !block with
-      | Blk_none | Blk_width -> None
-      | Blk_empty ->
-          s.Stats.stall_empty <- s.Stats.stall_empty + 1;
-          Some Obs_event.Empty
-      | Blk_rob ->
-          s.Stats.stall_rob_full <- s.Stats.stall_rob_full + 1;
-          Some Obs_event.Rob_full
-      | Blk_lsq ->
-          s.Stats.stall_lsq_full <- s.Stats.stall_lsq_full + 1;
-          Some Obs_event.Lsq_full
-      | Blk_reg ->
-          s.Stats.stall_regfile <- s.Stats.stall_regfile + 1;
-          Some Obs_event.Regfile
-      | Blk_policy ->
-          s.Stats.stall_policy <- s.Stats.stall_policy + 1;
-          Some Obs_event.Policy
-      | Blk_iq ->
-          s.Stats.stall_iq_full <- s.Stats.stall_iq_full + 1;
-          Some Obs_event.Iq_full
-      | Blk_copyq ->
-          s.Stats.stall_copyq_full <- s.Stats.stall_copyq_full + 1;
-          Some Obs_event.Copyq_full
-    in
-    match (t.obs, reason) with
-    | Some sink, Some reason ->
-        sink.Obs_sink.emit (Obs_event.Stall { cycle = now t; reason })
-    | (Some _ | None), _ -> ()
-  end
+  if !budget > 0 then emit_stall t (charge_stall t !block 1);
+  if !budget = t.cfg.Config.dispatch_width then !block else Blk_none
 
 (* ---- fetch ------------------------------------------------------- *)
 
+(* Returns how many micro-ops entered the fetch queue. *)
 let fetch t ~source =
+  let budget = ref t.cfg.Config.fetch_width in
   if t.cycle >= t.fetch_resume then begin
-    let budget = ref t.cfg.Config.fetch_width in
     let blocked = ref false in
     while (not !blocked) && !budget > 0 && not (Ring.is_full t.fetchq) do
       let duop = source () in
@@ -1028,51 +1035,120 @@ let fetch t ~source =
         blocked := true
       end
     done
+  end;
+  t.cfg.Config.fetch_width - !budget
+
+(* ---- main loop --------------------------------------------------- *)
+
+(* ---- idle-cycle skip ------------------------------------------- *)
+
+(* The earliest cycle, at or after [t.cycle], at which a step can do
+   anything, given that the step just taken did nothing but charge one
+   dispatch stall before the steering policy was consulted; [never]
+   when nothing can wake the machine, or when a cycle cannot be
+   skipped. Every other blocker only moves when one of these fires:
+   - the ROB head commits only after its completion event;
+   - ROB and LSQ space come only from commit;
+   - a load waiting for an MSHR waits for a miss's completion event,
+     and [Cache.probe], its re-check, is pure;
+   - a non-pipelined unit frees at its [unit_free] cycle, with no
+     event;
+   - the fetch queue fills at [fetch_resume] and drains only through
+     dispatch, and its head becomes dispatchable at its [ready_at];
+   - with interval telemetry, a snapshot is due on its boundary.
+   A ready copy retries its link reservation every cycle, so a
+   non-empty copy queue forbids the skip. *)
+let earliest (a : int) b = if a < b then a else b
+
+let wake_cycle t =
+  let wake = ref never in
+  if not (Pqueue.is_empty t.events) then wake := Pqueue.top_prio t.events;
+  if not (Ring.is_full t.fetchq) then wake := earliest !wake t.fetch_resume;
+  (if not (Ring.is_empty t.fetchq) then
+     let ready_at = (Ring.top t.fetchq).ready_at in
+     if ready_at >= t.cycle then wake := earliest !wake ready_at);
+  (match t.obs with
+  | Some s when s.Obs_sink.interval > 0 ->
+      (* The step that lands on the next boundary takes the snapshot. *)
+      let i = s.Obs_sink.interval and done_ = t.stats.Stats.cycles in
+      wake := earliest !wake (t.cycle + (((done_ / i) + 1) * i) - done_ - 1)
+  | Some _ | None -> ());
+  for c = 0 to t.cfg.Config.clusters - 1 do
+    let q = t.ready_q.(c) in
+    if not (Readyq.is_empty q.(2)) then wake := t.cycle
+    else if not (Readyq.is_empty q.(0) && Readyq.is_empty q.(1)) then begin
+      let units = t.unit_free.(c) in
+      for u = 0 to Array.length units - 1 do
+        if units.(u) >= t.cycle then wake := earliest !wake units.(u)
+      done
+    end
+  done;
+  !wake
+
+(* Jump from [t.cycle] to the wake cycle, charging every cycle skipped
+   to [blk] as the steps would have, one [Stall] event each. *)
+let skip_idle t blk =
+  let wake = wake_cycle t in
+  if wake <> never && wake > t.cycle then begin
+    let n = wake - t.cycle in
+    (match t.obs with
+    | None ->
+        ignore (charge_stall t blk n);
+        t.stats.Stats.cycles <- t.stats.Stats.cycles + n
+    | Some _ ->
+        for _ = 1 to n do
+          emit_stall t (charge_stall t blk 1);
+          t.stats.Stats.cycles <- t.stats.Stats.cycles + 1
+        done);
+    t.cycle <- wake
   end
 
 (* ---- main loop --------------------------------------------------- *)
 
+let enter t ph = if Array.length t.prof > 0 then Obs_profile.enter t.prof.(ph)
+let leave t ph = if Array.length t.prof > 0 then Obs_profile.leave t.prof.(ph)
+
+(* One cycle, phases in writeback-commit-issue-dispatch-fetch order.
+   The profiler's spans accumulate across the whole run and are
+   flushed once in [run], so each histogram holds per-run phase
+   totals. A step that changed nothing is followed by a jump over the
+   cycles that cannot change anything either ({!skip_idle}). *)
 let step t ~source =
-  (match t.prof with
-  | None ->
-      process_events t;
-      t.loads_this_cycle <- 0;
-      t.stores_this_cycle <- 0;
-      commit t;
-      issue t;
-      dispatch t;
-      fetch t ~source
-  | Some p ->
-      (* Same phase order; each phase bracketed by its span. The span
-         accumulates across the whole run and is flushed once in
-         [run], so the histogram holds per-run phase totals. *)
-      Obs_profile.enter p.p_writeback;
-      process_events t;
-      Obs_profile.leave p.p_writeback;
-      t.loads_this_cycle <- 0;
-      t.stores_this_cycle <- 0;
-      Obs_profile.enter p.p_commit;
-      commit t;
-      Obs_profile.leave p.p_commit;
-      Obs_profile.enter p.p_issue;
-      issue t;
-      Obs_profile.leave p.p_issue;
-      Obs_profile.enter p.p_dispatch;
-      dispatch t;
-      Obs_profile.leave p.p_dispatch;
-      Obs_profile.enter p.p_fetch;
-      fetch t ~source;
-      Obs_profile.leave p.p_fetch);
+  enter t ph_writeback;
+  process_events t;
+  leave t ph_writeback;
+  t.loads_this_cycle <- 0;
+  t.stores_this_cycle <- 0;
+  let committed = t.stats.Stats.committed in
+  enter t ph_commit;
+  commit t;
+  leave t ph_commit;
+  enter t ph_issue;
+  let issued = issue t in
+  leave t ph_issue;
+  enter t ph_dispatch;
+  let blk = dispatch t in
+  leave t ph_dispatch;
+  enter t ph_fetch;
+  let fetched = fetch t ~source in
+  leave t ph_fetch;
   t.cycle <- t.cycle + 1;
   t.stats.Stats.cycles <- t.stats.Stats.cycles + 1;
   (* Interval telemetry: snapshot on measured-time boundaries so the
      series restarts cleanly when the warmup reset zeroes the stats. *)
-  match t.obs with
+  (match t.obs with
   | Some s
     when s.Obs_sink.interval > 0
          && t.stats.Stats.cycles mod s.Obs_sink.interval = 0 ->
       s.Obs_sink.on_snapshot (Stats.snapshot t.stats)
-  | Some _ | None -> ()
+  | Some _ | None -> ());
+  (* Only stalls the policy never saw: a consulted policy may keep
+     state per consult. *)
+  match blk with
+  | (Blk_empty | Blk_rob | Blk_lsq)
+    when issued = 0 && fetched = 0 && t.stats.Stats.committed = committed ->
+      skip_idle t blk
+  | _ -> ()
 
 let run ?(warmup = 0) t ~source ~uops =
   if uops <= 0 then invalid_arg "Engine.run: uops must be positive";
@@ -1108,12 +1184,5 @@ let run ?(warmup = 0) t ~source ~uops =
   (* One histogram observation per phase per run. Only this engine's
      own spans are flushed — the profiler may be shared with the
      harness or service layer. *)
-  (match t.prof with
-  | None -> ()
-  | Some p ->
-      Obs_profile.flush p.p_fetch;
-      Obs_profile.flush p.p_dispatch;
-      Obs_profile.flush p.p_issue;
-      Obs_profile.flush p.p_writeback;
-      Obs_profile.flush p.p_commit);
+  Array.iter Obs_profile.flush t.prof;
   t.stats

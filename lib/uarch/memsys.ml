@@ -43,14 +43,9 @@ let store t ~addr =
 
 let l1_resident t ~addr = Cache.probe t.l1 ~addr
 
-let prewarm t ~base ~bytes =
-  let line = 64 in
-  let n = max 1 ((bytes + line - 1) / line) in
-  for i = 0 to n - 1 do
-    let addr = base + (i * line) in
-    Cache.touch t.l2 ~addr;
-    Cache.touch t.l1 ~addr
-  done
+let prewarm t extents =
+  Cache.warm t.l2 ~step:64 extents;
+  Cache.warm t.l1 ~step:64 extents
 
 let l1_hits t = Cache.hits t.l1
 let l1_misses t = Cache.misses t.l1

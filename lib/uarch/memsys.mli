@@ -21,11 +21,14 @@ val l1_resident : t -> addr:int -> bool
 (** Non-mutating L1 lookup, used by the MSHR check before a load is
     allowed to start. *)
 
-val prewarm : t -> base:int -> bytes:int -> unit
-(** Touch every line of the range in both levels without counting
-    statistics — restores the warmed cache state a checkpointed
-    simulation point would start from. Ranges larger than a cache
-    simply leave its LRU tail resident, as real warmup would. *)
+val prewarm : t -> (int * int) list -> unit
+(** [prewarm t extents] empties both levels, then leaves them as
+    touching every 64-byte line of each [(base, bytes)] extent, in list
+    order, without counting statistics would: the warmed cache state a
+    checkpointed simulation point starts from. Extents larger than a
+    cache leave its LRU tail resident, as real warmup would. Only that
+    tail is written ({!Cache.warm}): the cost is bounded by the cache's
+    capacity, not by the extents' size. *)
 
 val l1_hits : t -> int
 val l1_misses : t -> int

@@ -119,6 +119,80 @@ let test_cache_lookups_allocate_nothing () =
         ignore (Memsys.l1_resident m ~addr:(i * 4160) : bool)
       done)
 
+(* Tail prewarm against the loop it replaces: on a random cache that
+   has already seen traffic, [Cache.warm] and [invalidate_all] plus a
+   [touch] per line of overlapping extents leave the same lines
+   resident, and a random access sequence afterwards hits and misses
+   (and so evicts) identically. *)
+let prop_warm_matches_touch_loop =
+  let gen =
+    QCheck.Gen.(
+      let* sets_log = int_range 0 3 and* ways = int_range 1 4 in
+      let* line = oneofl [ 32; 64; 128 ] and* step = oneofl [ 32; 64; 128 ] in
+      let* extents =
+        list_size (int_range 0 5) (pair (int_bound 4096) (int_range (-8) 2048))
+      in
+      let* before = list_size (int_bound 20) (int_bound 8191) in
+      let* after = list_size (int_bound 200) (int_bound 8191) in
+      return (sets_log, ways, line, step, extents, before, after))
+  in
+  QCheck.Test.make ~name:"tail prewarm = per-line touch" ~count:500
+    (QCheck.make gen)
+    (fun (sets_log, ways, line, step, extents, before, after) ->
+      let make () =
+        let c =
+          Cache.create
+            {
+              Config.size_bytes = (1 lsl sets_log) * ways * line;
+              ways;
+              line_bytes = line;
+              hit_latency = 1;
+            }
+        in
+        List.iter (fun addr -> Cache.touch c ~addr) before;
+        c
+      in
+      let loop = make () and warm = make () in
+      Cache.invalidate_all loop;
+      List.iter
+        (fun (base, bytes) ->
+          for i = 0 to max 1 ((bytes + step - 1) / step) - 1 do
+            Cache.touch loop ~addr:(base + (i * step))
+          done)
+        extents;
+      Cache.warm warm ~step extents;
+      let resident c = List.init (8192 / line) (fun i -> Cache.probe c ~addr:(i * line)) in
+      let outcomes c =
+        List.map (fun addr -> Cache.access c ~addr ~write:false) after
+      in
+      resident loop = resident warm && outcomes loop = outcomes warm)
+
+(* The MSHR check re-probes a blocked load's line every cycle it
+   waits; the probe must not refresh that line's LRU position. *)
+let test_memsys_l1_resident_keeps_lru () =
+  let cfg = Config.default ~clusters:2 in
+  let l1 = cfg.Config.l1d in
+  let ways = l1.Config.ways in
+  (* Lines of one set, one set-stride apart. *)
+  let stride = l1.Config.size_bytes / ways in
+  let fill m = for w = 0 to ways - 1 do ignore (Memsys.load_latency m ~addr:(w * stride)) done in
+  let probed = Memsys.create cfg and plain = Memsys.create cfg in
+  fill probed;
+  fill plain;
+  for _ = 1 to 100 do
+    check_bool "oldest line resident" true (Memsys.l1_resident probed ~addr:0)
+  done;
+  ignore (Memsys.load_latency probed ~addr:(ways * stride));
+  ignore (Memsys.load_latency plain ~addr:(ways * stride));
+  check_bool "the probed line is still the LRU victim" false
+    (Memsys.l1_resident probed ~addr:0);
+  for w = 0 to ways do
+    check_bool
+      (Printf.sprintf "line %d as without probes" w)
+      (Memsys.l1_resident plain ~addr:(w * stride))
+      (Memsys.l1_resident probed ~addr:(w * stride))
+  done
+
 (* ---- Tracecache ----------------------------------------------------------- *)
 
 let test_tracecache_hits_after_fill () =
@@ -170,7 +244,7 @@ let test_memsys_l2_hit_after_l1_eviction () =
 
 let test_memsys_prewarm () =
   let m = Memsys.create Config.default_2c in
-  Memsys.prewarm m ~base:0 ~bytes:4096;
+  Memsys.prewarm m [ (0, 4096) ];
   check_int "prewarmed l1 hit" 3 (Memsys.load_latency m ~addr:64);
   check_int "stats clean" 0 (Memsys.l1_misses m + Memsys.l1_hits m - 1)
 
@@ -727,6 +801,7 @@ let () =
           Alcotest.test_case "power of two" `Quick test_cache_power_of_two_required;
           Alcotest.test_case "lookups allocate nothing" `Quick
             test_cache_lookups_allocate_nothing;
+          QCheck_alcotest.to_alcotest prop_warm_matches_touch_loop;
         ] );
       ( "tracecache",
         [
@@ -740,6 +815,8 @@ let () =
           Alcotest.test_case "latencies" `Quick test_memsys_latencies;
           Alcotest.test_case "l2 hit after l1 eviction" `Quick test_memsys_l2_hit_after_l1_eviction;
           Alcotest.test_case "prewarm" `Quick test_memsys_prewarm;
+          Alcotest.test_case "l1_resident keeps lru" `Quick
+            test_memsys_l1_resident_keeps_lru;
           Alcotest.test_case "stats" `Quick test_memsys_stats;
           Alcotest.test_case "next-line prefetch" `Quick test_memsys_prefetch_next_line;
         ] );
