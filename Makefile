@@ -205,9 +205,10 @@ fmt:
 # verifier over every built-in workload, a parallel deterministic
 # sweep, the bench smoke, the service-layer smoke, the auto-tuner
 # cycle, the interconnect-topology slice, the quickstart example (so
-# examples/ cannot bit-rot silently), and one traced 10k-uop
-# simulation whose Chrome trace must be valid JSON with interval
-# telemetry.
+# examples/ cannot bit-rot silently), one traced 10k-uop simulation
+# whose Chrome trace must be valid JSON with interval telemetry, and a
+# plain mcf run whose statistics must equal those of the same run
+# profiled and traced (the engine skips idle cycles in all of them).
 smoke: build test check fmt bench-smoke serve-smoke obs-smoke tune-smoke topo-smoke analyze-smoke
 	dune exec examples/quickstart.exe
 	@set -e; \
@@ -223,6 +224,17 @@ smoke: build test check fmt bench-smoke serve-smoke obs-smoke tune-smoke topo-sm
 	  --trace-out _build/smoke_trace.json --trace-format json \
 	  --stats-interval 1000
 	@grep -q '"traceEvents"' _build/smoke_trace.json
+	@set -e; \
+	csteer=_build/default/bin/csteer.exe; d=_build/skip-smoke; \
+	rm -rf $$d && mkdir -p $$d; \
+	$$csteer simulate -w mcf -p vc2 -n 10000 > $$d/plain.txt; \
+	$$csteer simulate -w mcf -p vc2 -n 10000 --profile \
+	  --trace-out $$d/trace.json --stats-interval 1000 \
+	  > $$d/observed.txt 2> $$d/observed.log; \
+	sed '/^energy:/q' $$d/plain.txt > $$d/plain.stats; \
+	sed '/^energy:/q' $$d/observed.txt > $$d/observed.stats; \
+	cmp $$d/plain.stats $$d/observed.stats; \
+	echo "idle-cycle skip: plain = profiled + traced stats ($$d)"
 	@echo "smoke: OK (_build/smoke_trace.json)"
 
 clean:

@@ -175,11 +175,11 @@ let resolve_or_exit ~code ~hint ~phase name =
   match Runner.resolve ~phase name with
   | Ok resolved -> resolved
   | Error Runner.Unknown_workload ->
-      if hint = "" then Printf.eprintf "unknown workload %S\n" name
-      else Printf.eprintf "unknown workload %S (%s)\n" name hint;
+      if hint = "" then Printf.eprintf "csteer: unknown workload %S\n" name
+      else Printf.eprintf "csteer: unknown workload %S (%s)\n" name hint;
       exit code
   | Error (Runner.Phase_out_of_range phases) ->
-      Printf.eprintf "workload has only %d phase%s\n" phases
+      Printf.eprintf "csteer: workload has only %d phase%s\n" phases
         (if phases = 1 then "" else "s");
       exit code
 
@@ -941,6 +941,8 @@ let sweep workload uops out =
       Clusteer.Configuration.Thermal;
     ]
   in
+  (* Every machine replays one stream, generated once. *)
+  let trace = Runner.shared_trace w ~seed in
   let rows =
     List.concat_map
       (fun clusters ->
@@ -955,7 +957,7 @@ let sweep workload uops out =
               string_of_int stats.Stats.copies_generated;
               string_of_int (Stats.allocation_stalls stats);
             ])
-          (Runner.run_workload ~seed ~machine ~configs ~uops w))
+          (Runner.run_workload ~trace ~machine ~configs ~uops w))
       [ 2; 4; 8 ]
   in
   let header =

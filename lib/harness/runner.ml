@@ -181,8 +181,8 @@ let fresh_reuse () =
    parallel. *)
 let shard_minor_heap_words = 1 lsl 20
 
-let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
-    ?profile ?reuse ?params ~machine ~configs ~uops workload =
+let run_workload_cached ?warmup ?(seed = 1) ?trace ?(obs = fun _ -> None)
+    ?registry ?profile ?reuse ?params ~machine ~configs ~uops workload =
   let warmup = Option.value ~default:(default_warmup uops) warmup in
   let committed = Counters.counter ?registry "harness.uops_committed" in
   (* The machine's fabric is the single source of truth for topology:
@@ -197,7 +197,9 @@ let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
     in
     { p with Clusteer.Configuration.topology = Some machine.Config.topology }
   in
-  let tb = shared_trace workload ~seed in
+  let tb =
+    match trace with Some tb -> tb | None -> shared_trace workload ~seed
+  in
   List.map
     (fun config ->
       let name = Clusteer.Configuration.name config in
@@ -249,10 +251,10 @@ let run_workload_cached ?warmup ?(seed = 1) ?(obs = fun _ -> None) ?registry
       (name, stats))
     configs
 
-let run_workload ?warmup ?seed ?obs ?registry ?profile ?params ~machine
+let run_workload ?warmup ?seed ?trace ?obs ?registry ?profile ?params ~machine
     ~configs ~uops workload =
-  run_workload_cached ?warmup ?seed ?obs ?registry ?profile ?params ~machine
-    ~configs ~uops workload
+  run_workload_cached ?warmup ?seed ?trace ?obs ?registry ?profile ?params
+    ~machine ~configs ~uops workload
 
 let run_point_cached ?warmup ?obs ?registry ?profile ?reuse ?params
     ?(trace_salt = 0) ~machine ~configs ~uops point =

@@ -122,9 +122,18 @@ val run_point :
     [harness.uops_committed] counter of [registry] — the figure the
     run ledger divides GC allocation by. *)
 
+type trace_buffer
+(** One dynamic stream, generated once, lazily, and replayed from its
+    start by every run that reads it. *)
+
+val shared_trace : Synth.t -> seed:int -> trace_buffer
+(** The stream of the workload on trace seed [seed]. Nothing is
+    generated until a run reads it. *)
+
 val run_workload :
   ?warmup:int ->
   ?seed:int ->
+  ?trace:trace_buffer ->
   ?obs:(string -> Clusteer_obs.Sink.t option) ->
   ?registry:Clusteer_obs.Counters.registry ->
   ?profile:Clusteer_obs.Profile.t ->
@@ -137,7 +146,9 @@ val run_workload :
 (** Run an explicit workload (a {!Clusteer_workloads.Synth.t}, e.g. a
     hand-built {!Clusteer_workloads.Kernels} kernel) under each
     configuration on the identical trace. [obs] and [registry] as in
-    {!run_point}. *)
+    {!run_point}. [trace], a {!shared_trace} of the same workload,
+    replaces the stream generated from [seed] (default 1): calls on
+    several machines then generate one stream once. *)
 
 val map_isolated :
   ?domains:int ->

@@ -90,24 +90,7 @@ let take t =
   t.vals.(last) <- filler ();
   v
 
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.vals.(0))
-
-let pop t =
-  if t.size = 0 then None
-  else
-    let p = t.prio.(0) in
-    Some (p, take t)
-
 let clear t =
   Array.fill t.vals 0 t.size (filler ());
   t.size <- 0;
   t.next_seq <- 0
-
-let pop_while t keep =
-  let rec loop acc =
-    if t.size > 0 && keep t.prio.(0) then
-      let p = t.prio.(0) in
-      loop ((p, take t) :: acc)
-    else List.rev acc
-  in
-  loop []

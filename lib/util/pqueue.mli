@@ -25,10 +25,4 @@ val take : 'a t -> 'a
 (** Remove and return the minimum's value; raises [Invalid_argument]
     when empty. *)
 
-val peek : 'a t -> (int * 'a) option
-val pop : 'a t -> (int * 'a) option
 val clear : 'a t -> unit
-
-val pop_while : 'a t -> (int -> bool) -> (int * 'a) list
-(** [pop_while t keep] pops, in order, every minimum whose priority
-    satisfies [keep] and returns them oldest-first. *)

@@ -114,8 +114,11 @@ let test_simulate_trace_out () =
         | _ -> false)
 
 let test_simulate_unknown_workload () =
-  let code, _ = run_capture "simulate -w not-a-benchmark" in
-  check_bool "nonzero exit" true (code <> 0)
+  let code, out = run_capture_all "simulate -w not-a-benchmark" in
+  check_int "exit 1" 1 code;
+  check_bool "one prefixed diagnostic line" true
+    (contains out "csteer: unknown workload \"not-a-benchmark\" (try `csteer list`"
+    && List.length (String.split_on_char '\n' (String.trim out)) = 1)
 
 let test_compile_emit_annotation () =
   let annot = Filename.temp_file "csteer" ".annot" in
@@ -174,7 +177,7 @@ let test_sweep_resolves () =
   let code, out = run_capture_all "sweep -w nosuch -n 500" in
   check_int "unknown exits 1" 1 code;
   check_bool "one diagnostic line" true
-    (contains out "unknown workload \"nosuch\" (try `csteer list`"
+    (contains out "csteer: unknown workload \"nosuch\" (try `csteer list`"
     && List.length (String.split_on_char '\n' (String.trim out)) = 1)
 
 let test_experiment_tables () =

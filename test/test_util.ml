@@ -172,32 +172,52 @@ let test_rng_geometric_certain () =
 
 (* ---- Pqueue -------------------------------------------------------- *)
 
+(* The minimum with its priority, removed; [None] when empty. *)
+let pop_min q =
+  if Pqueue.is_empty q then None
+  else
+    let p = Pqueue.top_prio q in
+    Some (p, Pqueue.take q)
+
+(* Every entry, in pop order. *)
+let drain q =
+  let rec loop acc =
+    match pop_min q with Some e -> loop (e :: acc) | None -> List.rev acc
+  in
+  loop []
+
 let test_pqueue_ordering () =
   let q = Pqueue.create () in
   List.iter (fun (p, v) -> Pqueue.add q p v) [ (3, "c"); (1, "a"); (2, "b") ];
-  Alcotest.(check (option (pair int string))) "min" (Some (1, "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "next" (Some (2, "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "last" (Some (3, "c")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "empty" None (Pqueue.pop q)
+  Alcotest.(check (option (pair int string))) "min" (Some (1, "a")) (pop_min q);
+  Alcotest.(check (option (pair int string))) "next" (Some (2, "b")) (pop_min q);
+  Alcotest.(check (option (pair int string))) "last" (Some (3, "c")) (pop_min q);
+  Alcotest.(check (option (pair int string))) "empty" None (pop_min q)
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   List.iter (fun v -> Pqueue.add q 5 v) [ "first"; "second"; "third" ];
-  Alcotest.(check (option (pair int string))) "fifo 1" (Some (5, "first")) (Pqueue.pop q);
-  Alcotest.(check (option (pair int string))) "fifo 2" (Some (5, "second")) (Pqueue.pop q)
+  Alcotest.(check (option (pair int string))) "fifo 1" (Some (5, "first")) (pop_min q);
+  Alcotest.(check (option (pair int string))) "fifo 2" (Some (5, "second")) (pop_min q)
 
-let test_pqueue_peek_noop () =
+let test_pqueue_top_prio () =
   let q = Pqueue.create () in
+  Alcotest.check_raises "empty" (Invalid_argument "Pqueue.top_prio: empty")
+    (fun () -> ignore (Pqueue.top_prio q : int));
+  Pqueue.add q 4 "y";
   Pqueue.add q 1 "x";
-  ignore (Pqueue.peek q);
-  check_int "peek preserves" 1 (Pqueue.length q)
+  check_int "minimum" 1 (Pqueue.top_prio q);
+  check_int "top_prio removes nothing" 2 (Pqueue.length q)
 
-let test_pqueue_pop_while () =
+(* The engine's event drain: take while the minimum is due. *)
+let test_pqueue_take_while_due () =
   let q = Pqueue.create () in
   List.iter (fun p -> Pqueue.add q p p) [ 5; 1; 3; 8; 2 ];
-  let popped = Pqueue.pop_while q (fun p -> p <= 3) in
-  Alcotest.(check (list (pair int int))) "popped prefix"
-    [ (1, 1); (2, 2); (3, 3) ] popped;
+  let due = ref [] in
+  while (not (Pqueue.is_empty q)) && Pqueue.top_prio q <= 3 do
+    due := Pqueue.take q :: !due
+  done;
+  Alcotest.(check (list int)) "due prefix" [ 1; 2; 3 ] (List.rev !due);
   check_int "remaining" 2 (Pqueue.length q)
 
 let test_pqueue_clear () =
@@ -212,13 +232,7 @@ let prop_pqueue_sorted =
     (fun prios ->
       let q = Pqueue.create () in
       List.iter (fun p -> Pqueue.add q p p) prios;
-      let rec drain acc =
-        match Pqueue.pop q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      let out = drain [] in
-      out = List.sort compare prios)
+      List.map fst (drain q) = List.sort compare prios)
 
 (* Minor-heap words [f] allocates; [f] is built before the first
    reading, so only its body counts. *)
@@ -288,7 +302,7 @@ let heap_select q ~width blocked =
   let started = ref [] and aside = ref [] and n = ref 0 in
   let continue_ = ref true in
   while !continue_ && !n < width do
-    match Pqueue.pop q with
+    match pop_min q with
     | None -> continue_ := false
     | Some (k, v) ->
         if blocked v then aside := (k, v) :: !aside
@@ -334,9 +348,7 @@ let prop_readyq_matches_heap_select =
                 ok)
               ()
           in
-          let rest =
-            List.map snd (Pqueue.pop_while heap (fun _ -> true))
-          in
+          let rest = List.map snd (drain heap) in
           List.iter (fun k -> Pqueue.add heap k k) rest;
           expect = List.rev !got
           && n = List.length expect
@@ -884,8 +896,8 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
-          Alcotest.test_case "peek" `Quick test_pqueue_peek_noop;
-          Alcotest.test_case "pop_while" `Quick test_pqueue_pop_while;
+          Alcotest.test_case "top_prio" `Quick test_pqueue_top_prio;
+          Alcotest.test_case "take while due" `Quick test_pqueue_take_while_due;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           qc prop_pqueue_sorted;
           Alcotest.test_case "steady state allocates nothing" `Quick
