@@ -331,10 +331,12 @@ let test_tune_study_golden () =
 
 (* The engine goldens (test/goldens/engine_*.json, written by
    gen_engine_goldens.sh): mcf, gzip-1 and swim under op, vc2 and
-   thermal on p2p, ring and mesh4x2, with the default warmup. Each
-   file's command line is re-run plain and observed (interval
-   telemetry, Chrome trace); both stats documents and the trace's
-   digest must reproduce byte for byte. *)
+   thermal on p2p, ring and mesh4x2, plus two runs in which a copy
+   waits for a link that frees without an event (mcf/vc2 on an
+   8-cluster ring, adv-flip/mod3 on mesh4x2), all with the default
+   warmup. Each file's command line is re-run plain and observed
+   (interval telemetry, Chrome trace); both stats documents and the
+   trace's digest must reproduce byte for byte. *)
 let test_engine_goldens () =
   let goldens =
     Sys.readdir golden_dir |> Array.to_list
@@ -343,7 +345,7 @@ let test_engine_goldens () =
            && Filename.check_suffix f ".json")
     |> List.sort compare
   in
-  check_int "golden count" 27 (List.length goldens);
+  check_int "golden count" 29 (List.length goldens);
   List.iter
     (fun golden ->
       let expected = read_file (Filename.concat golden_dir golden) in
