@@ -669,6 +669,8 @@ let try_start t inst =
             t.misses_outstanding <- t.misses_outstanding + 1
           end;
           let lat = exec_latency t inst in
+          (* The unit frees on the cycle of the completion event: the
+             idle-cycle skip relies on it. *)
           if not (Opcode.pipelined op) then
             t.unit_free.(inst.cluster).(fu) <- t.cycle + lat;
           Pqueue.add t.events (t.cycle + lat) inst;
@@ -1038,26 +1040,24 @@ let fetch t ~source =
   end;
   t.cfg.Config.fetch_width - !budget
 
-(* ---- main loop --------------------------------------------------- *)
-
-(* ---- idle-cycle skip ------------------------------------------- *)
+(* ---- idle-cycle skip -------------------------------------------- *)
 
 (* The earliest cycle, at or after [t.cycle], at which a step can do
-   anything, given that the step just taken did nothing but charge one
-   dispatch stall before the steering policy was consulted; [never]
-   when nothing can wake the machine, or when a cycle cannot be
-   skipped. Every other blocker only moves when one of these fires:
-   - the ROB head commits only after its completion event;
-   - ROB and LSQ space come only from commit;
-   - a load waiting for an MSHR waits for a miss's completion event,
-     and [Cache.probe], its re-check, is pure;
-   - a non-pipelined unit frees at its [unit_free] cycle, with no
-     event;
-   - the fetch queue fills at [fetch_resume] and drains only through
-     dispatch, and its head becomes dispatchable at its [ready_at];
+   anything, given that the step just taken moved nothing and its
+   dispatch stopped before the policy was consulted; [never] when
+   nothing can wake the machine, and [t.cycle] when the next cycle
+   cannot be skipped. A stalled step repeats itself until:
+   - the next event fires. Completions bring commit, and with it ROB
+     and LSQ space; they free MSHRs and resolve branches. A
+     non-pipelined unit frees on the cycle its occupant completes, so
+     it needs no wake of its own. A load waiting for an MSHR re-checks
+     the L1 with [Cache.probe], which is pure;
+   - fetch resumes at [fetch_resume], while the fetch queue has room;
+   - the fetch-queue head becomes dispatchable at its [ready_at];
    - with interval telemetry, a snapshot is due on its boundary.
-   A ready copy retries its link reservation every cycle, so a
-   non-empty copy queue forbids the skip. *)
+   A ready copy retries its link reservation every cycle, and a
+   multi-hop link frees without an event, so a non-empty copy queue
+   forbids the skip. *)
 let earliest (a : int) b = if a < b then a else b
 
 let wake_cycle t =
@@ -1074,14 +1074,7 @@ let wake_cycle t =
       wake := earliest !wake (t.cycle + (((done_ / i) + 1) * i) - done_ - 1)
   | Some _ | None -> ());
   for c = 0 to t.cfg.Config.clusters - 1 do
-    let q = t.ready_q.(c) in
-    if not (Readyq.is_empty q.(2)) then wake := t.cycle
-    else if not (Readyq.is_empty q.(0) && Readyq.is_empty q.(1)) then begin
-      let units = t.unit_free.(c) in
-      for u = 0 to Array.length units - 1 do
-        if units.(u) >= t.cycle then wake := earliest !wake units.(u)
-      done
-    end
+    if not (Readyq.is_empty t.ready_q.(c).(2)) then wake := t.cycle
   done;
   !wake
 

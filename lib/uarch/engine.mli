@@ -91,7 +91,11 @@ val run : ?warmup:int -> t -> source:(unit -> Dynuop.t) -> uops:int -> Stats.t
     observability sink is suspended during warmup: the trace covers
     exactly the measured phase.
     [source] supplies the dynamic stream (see
-    {!Clusteer_trace.Tracegen.next}). Raises [Failure] if the machine
-    stops making progress (an engine bug, surfaced for the tests). *)
+    {!Clusteer_trace.Tracegen.next}). After a cycle in which nothing
+    moved and the policy was not consulted, the engine jumps to the
+    next cycle at which anything can change; statistics, events and
+    interval samples are those of stepping every cycle. Raises
+    [Failure] if the machine stops making progress (an engine bug,
+    surfaced for the tests). *)
 
 val stats : t -> Stats.t
