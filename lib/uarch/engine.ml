@@ -687,18 +687,14 @@ let issue_queue t cluster qidx queue =
     Readyq.select t.ready_q.(cluster).(qidx) ~width:(queue_width t.cfg queue)
       try_start t
   in
-  t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - started;
-  started
+  t.occupancy.(cluster).(qidx) <- t.occupancy.(cluster).(qidx) - started
 
-(* Returns how many instructions started. *)
 let issue t =
-  let started = ref 0 in
   for c = 0 to t.cfg.Config.clusters - 1 do
-    started := !started + issue_queue t c 2 Opcode.Copy_queue;
-    started := !started + issue_queue t c 0 Opcode.Int_queue;
-    started := !started + issue_queue t c 1 Opcode.Fp_queue
-  done;
-  !started
+    issue_queue t c 2 Opcode.Copy_queue;
+    issue_queue t c 0 Opcode.Int_queue;
+    issue_queue t c 1 Opcode.Fp_queue
+  done
 
 (* ---- dispatch ---------------------------------------------------- *)
 
@@ -994,10 +990,9 @@ let dispatch t =
 
 (* ---- fetch ------------------------------------------------------- *)
 
-(* Returns how many micro-ops entered the fetch queue. *)
 let fetch t ~source =
-  let budget = ref t.cfg.Config.fetch_width in
   if t.cycle >= t.fetch_resume then begin
+    let budget = ref t.cfg.Config.fetch_width in
     let blocked = ref false in
     while (not !blocked) && !budget > 0 && not (Ring.is_full t.fetchq) do
       let duop = source () in
@@ -1037,8 +1032,7 @@ let fetch t ~source =
         blocked := true
       end
     done
-  end;
-  t.cfg.Config.fetch_width - !budget
+  end
 
 (* ---- idle-cycle skip -------------------------------------------- *)
 
@@ -1112,18 +1106,23 @@ let step t ~source =
   leave t ph_writeback;
   t.loads_this_cycle <- 0;
   t.stores_this_cycle <- 0;
-  let committed = t.stats.Stats.committed in
+  (* The step moved nothing if it committed nothing, issued nothing
+     (only issue schedules events) and fetched nothing (a dispatch
+     that stalls on its first micro-op takes none from the queue). *)
+  let committed = t.stats.Stats.committed
+  and pending = Pqueue.length t.events
+  and queued = Ring.length t.fetchq in
   enter t ph_commit;
   commit t;
   leave t ph_commit;
   enter t ph_issue;
-  let issued = issue t in
+  issue t;
   leave t ph_issue;
   enter t ph_dispatch;
   let blk = dispatch t in
   leave t ph_dispatch;
   enter t ph_fetch;
-  let fetched = fetch t ~source in
+  fetch t ~source;
   leave t ph_fetch;
   t.cycle <- t.cycle + 1;
   t.stats.Stats.cycles <- t.stats.Stats.cycles + 1;
@@ -1139,7 +1138,9 @@ let step t ~source =
      state per consult. *)
   match blk with
   | (Blk_empty | Blk_rob | Blk_lsq)
-    when issued = 0 && fetched = 0 && t.stats.Stats.committed = committed ->
+    when t.stats.Stats.committed = committed
+         && Pqueue.length t.events = pending
+         && Ring.length t.fetchq = queued ->
       skip_idle t blk
   | _ -> ()
 
