@@ -161,7 +161,9 @@ let prop_warm_matches_touch_loop =
           done)
         extents;
       Cache.warm warm ~step extents;
-      let resident c = List.init (8192 / line) (fun i -> Cache.probe c ~addr:(i * line)) in
+      let resident c =
+        List.init (8192 / line) (fun i -> Cache.probe c ~addr:(i * line))
+      in
       let outcomes c =
         List.map (fun addr -> Cache.access c ~addr ~write:false) after
       in
@@ -175,7 +177,11 @@ let test_memsys_l1_resident_keeps_lru () =
   let ways = l1.Config.ways in
   (* Lines of one set, one set-stride apart. *)
   let stride = l1.Config.size_bytes / ways in
-  let fill m = for w = 0 to ways - 1 do ignore (Memsys.load_latency m ~addr:(w * stride)) done in
+  let fill m =
+    for w = 0 to ways - 1 do
+      ignore (Memsys.load_latency m ~addr:(w * stride))
+    done
+  in
   let probed = Memsys.create cfg and plain = Memsys.create cfg in
   fill probed;
   fill plain;
