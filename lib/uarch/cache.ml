@@ -86,60 +86,50 @@ let invalidate_all t =
 (* ---- tail prewarm ------------------------------------------------ *)
 
 (* A touch sequence leaves in each set only its last [ways] distinct
-   lines, ordered by their last touch, and a victim is only ever
-   chosen by comparing recencies within one set. So [warm] walks the
-   sequence backwards, writes each set's lines into its ways in the
-   order they are met, and stops once every set is full. The [j]-th
-   touch from the end gets the recency the [touch] loop would have
-   given it, [clock + total - j], and the clock moves past all of
-   them; the lines sit in other ways than the loop would put them in,
-   which no lookup or victim choice can tell apart. Filled ways are a
-   prefix of each set, as after the loop. *)
+   lines, and a victim is only ever chosen by comparing recencies
+   within one set. So [warm] walks the sequence backwards, writes each
+   line it has not met yet into the first free way of its set, with a
+   recency below that of every line met before it, and stops once
+   every set is full. Every recency lies above the old clock and the
+   clock moves past them all. The lines sit in other ways, with other
+   recency values, than the touch loop would leave them in, but each
+   set holds the same lines in the same recency order, and filled ways
+   are a prefix of each set, as after the loop: no lookup, fill or
+   eviction can tell them apart. *)
 
 let line_count ~step bytes = max 1 ((bytes + step - 1) / step)
 
-(* First way at or after [w] holding [tag] or nothing, [-1] if none. *)
-let rec slot_from (tags : int array) base ways (tag : int) w =
-  if w = ways then -1
-  else
-    let x = tags.(base + w) in
-    if x = tag || x = -1 then w else slot_from tags base ways tag (w + 1)
-
-(* Lines [i], [i - 1], ..., 0 of the extent at [base]; [j] counts the
-   touches after line [i]. Returns the lines placed so far. *)
-let rec warm_lines t ~base ~step ~top ~placed i j =
+(* Lines [i], [i - 1], ..., 0 of the extent at [base]. Returns the
+   lines placed so far, [placed] before this call. *)
+let rec warm_lines t ~base ~step ~top ~placed i =
   if i < 0 || placed = t.sets * t.ways then placed
   else
     let addr = base + (i * step) in
     let set_base = set_of t addr * t.ways and tag = tag_of t addr in
-    let w = slot_from t.tags set_base t.ways tag 0 in
     let placed =
-      if w >= 0 && t.tags.(set_base + w) = -1 then begin
-        t.tags.(set_base + w) <- tag;
-        t.recency.(set_base + w) <- top - j;
-        placed + 1
-      end
-      else placed
+      if way_from t.tags set_base t.ways tag 0 >= 0 then placed
+      else
+        let w = way_from t.tags set_base t.ways (-1) 0 in
+        if w < 0 then placed
+        else begin
+          t.tags.(set_base + w) <- tag;
+          t.recency.(set_base + w) <- top - placed;
+          placed + 1
+        end
     in
-    warm_lines t ~base ~step ~top ~placed (i - 1) (j + 1)
+    warm_lines t ~base ~step ~top ~placed (i - 1)
 
-(* The extents last to first; [suffix] counts the touches of this
-   extent and every later one. *)
-let rec warm_extents t ~step ~top ~suffix = function
+(* The extents, last to first. *)
+let rec warm_extents t ~step ~top = function
   | [] -> 0
   | (base, bytes) :: rest ->
-      let n = line_count ~step bytes in
-      let after = suffix - n in
-      let placed = warm_extents t ~step ~top ~suffix:after rest in
-      warm_lines t ~base ~step ~top ~placed (n - 1) after
+      let placed = warm_extents t ~step ~top rest in
+      warm_lines t ~base ~step ~top ~placed (line_count ~step bytes - 1)
 
 let warm t ~step extents =
   invalidate_all t;
-  let total =
-    List.fold_left (fun n (_, bytes) -> n + line_count ~step bytes) 0 extents
-  in
-  let top = t.clock + total in
-  ignore (warm_extents t ~step ~top ~suffix:total extents : int);
+  let top = t.clock + (t.sets * t.ways) in
+  ignore (warm_extents t ~step ~top extents : int);
   t.clock <- top
 
 let hits t = t.hits

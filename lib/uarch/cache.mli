@@ -39,9 +39,9 @@ val warm : t -> step:int -> (int * int) list -> unit
     list order, would. It does not replay the touches: it walks them
     backwards and writes each set's last [ways] distinct lines straight
     into the set, in recency order, stopping once every set is full.
-    The lines may sit in other ways than the touches would leave them
-    in; no lookup, fill or eviction can tell the difference. Allocates
-    nothing. *)
+    The lines may sit in other ways, with other recency values, than
+    the touches would leave them in; no lookup, fill or eviction can
+    tell the difference. Allocates nothing. *)
 
 (* Statistics *)
 val hits : t -> int
