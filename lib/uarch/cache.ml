@@ -99,6 +99,14 @@ let invalidate_all t =
 
 let line_count ~step bytes = max 1 ((bytes + step - 1) / step)
 
+(* First way at or after [w] holding [tag] or nothing, [-1] if none:
+   filled ways are a prefix, so one scan answers both questions. *)
+let rec slot_from (tags : int array) base ways (tag : int) w =
+  if w = ways then -1
+  else
+    let x = tags.(base + w) in
+    if x = tag || x = -1 then w else slot_from tags base ways tag (w + 1)
+
 (* Lines [i], [i - 1], ..., 0 of the extent at [base]. Returns the
    lines placed so far, [placed] before this call. *)
 let rec warm_lines t ~base ~step ~top ~placed i =
@@ -106,16 +114,14 @@ let rec warm_lines t ~base ~step ~top ~placed i =
   else
     let addr = base + (i * step) in
     let set_base = set_of t addr * t.ways and tag = tag_of t addr in
+    let w = slot_from t.tags set_base t.ways tag 0 in
     let placed =
-      if way_from t.tags set_base t.ways tag 0 >= 0 then placed
-      else
-        let w = way_from t.tags set_base t.ways (-1) 0 in
-        if w < 0 then placed
-        else begin
-          t.tags.(set_base + w) <- tag;
-          t.recency.(set_base + w) <- top - placed;
-          placed + 1
-        end
+      if w >= 0 && t.tags.(set_base + w) = -1 then begin
+        t.tags.(set_base + w) <- tag;
+        t.recency.(set_base + w) <- top - placed;
+        placed + 1
+      end
+      else placed
     in
     warm_lines t ~base ~step ~top ~placed (i - 1)
 
