@@ -27,8 +27,9 @@ val prewarm : t -> (int * int) list -> unit
     order, without counting statistics would: the warmed cache state a
     checkpointed simulation point starts from. Extents larger than a
     cache leave its LRU tail resident, as real warmup would. Only that
-    tail is written ({!Cache.warm}): the cost is bounded by the cache's
-    capacity, not by the extents' size. *)
+    tail is written ({!Cache.warm}): once every set is full the walk
+    stops, so extents larger than a cache cost about one cache's worth
+    of lines. *)
 
 val l1_hits : t -> int
 val l1_misses : t -> int
