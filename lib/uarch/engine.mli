@@ -56,8 +56,8 @@ val create :
     [profile] attaches the pipeline self-profiler: each {!run} then
     contributes one observation of per-phase wall nanoseconds
     (fetch/dispatch/issue/writeback/commit) to the profiler's
-    [profile.engine.*.ns] histograms. Like [obs], [None] leaves every
-    instrumentation site a single pattern match — disabled profiling
+    [profile.engine.*.ns] histograms. With [None] every phase boundary
+    is one length test on an empty span array — disabled profiling
     costs nothing and changes nothing. *)
 
 val reset :
